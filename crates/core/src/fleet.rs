@@ -63,26 +63,18 @@
 
 use cusfft_telemetry::fmt_f64;
 use gpu_sim::{
-    concurrency_profile, fault_roll, merge_op_groups, schedule, BreakerConfig, BreakerDecision,
-    CircuitBreaker, DeviceSpec, FaultClass, FaultConfig, GpuDevice, MemPool, Op, StandbySlabs,
-    StandbyStats, DEFAULT_STREAM,
+    fault_roll, BreakerConfig, BreakerDecision, CircuitBreaker, DeviceSpec, FaultClass,
+    FaultConfig, GpuDevice, MemPool, StandbySlabs, StandbyStats, DEFAULT_STREAM,
 };
 use std::sync::Arc;
 
-use crate::audit::{finalize_audit, AuditLog, SloConfig};
-use crate::backend::{
-    worker_device, Backend, BackendKind, BackendRegistry, GpuSimBackend, SfftCpuBackend,
-};
+use crate::audit::AuditLog;
+use crate::backend::{worker_device, Backend, BackendRegistry, GpuSimBackend};
 use crate::error::CusFftError;
-use crate::overload::{
-    path_latency_summary, recover_group_loss, run_group_on_device, GroupRun, LatencyStats,
-    OverloadTally,
-};
+use crate::exec::{answer_on_cpu, execute, reject, Clock, DeviceScope, GroupRun, Placed, Served};
+use crate::overload::OverloadTally;
 use crate::plan_cache::{PlanKey, ServeQos};
-use crate::serve::{
-    merge_rollups, FaultTally, GroupInfo, GroupTelemetry, PoolTally, RequestOutcome, ServeConfig,
-    ServeEngine, ServePath, ServeReport, ServeRequest, ServeResponse, ServeTimeline,
-};
+use crate::serve::{FaultTally, ServeConfig, ServeEngine, ServeReport, ServeRequest};
 
 /// One fleet member: a device spec plus an optional member-local fault
 /// plan overriding [`ServeConfig::faults`] (this is how a test or
@@ -426,41 +418,19 @@ impl DeviceFleet {
         // on their own device, in decision order.
         let control = worker_device(&specs[0], None);
 
-        let (mut groups, prefailed) = self.engine.group_requests(requests);
-        let mut outcomes: Vec<Option<RequestOutcome>> =
-            (0..requests.len()).map(|_| None).collect();
-
         // Flight recorder: the batch root plus per-request invalid
         // verdicts up front; routing/lifecycle decisions stream in as
         // the coordinator makes them.
-        let mut alog = if cfg.audit {
-            let mut a = AuditLog::new();
-            a.record(
-                0.0,
-                None,
-                None,
-                "batch_admitted",
-                vec![
-                    ("requests".into(), requests.len().to_string()),
-                    ("groups".into(), groups.len().to_string()),
-                    ("members".into(), nmembers.to_string()),
-                ],
-            );
-            for (idx, err) in &prefailed {
-                a.record(
-                    0.0,
-                    Some(*idx),
-                    None,
-                    "invalid",
-                    vec![("reason".into(), err.to_string())],
-                );
-            }
-            Some(a)
-        } else {
-            None
-        };
+        let (mut groups, prefailed, mut alog) = self
+            .engine
+            .form_groups(requests, &[("members", nmembers.to_string())]);
+        let mut served = Served::new(requests.len(), None);
+        for (idx, err) in prefailed {
+            served.faults.failed += 1;
+            served.outcomes[idx] = Some(reject(&mut alog, 0.0, idx, err));
+        }
         let mut seen_tr = vec![0usize; nmembers];
-        let mut completion_of = vec![0.0f64; groups.len()];
+        let mut completions: Vec<(usize, f64)> = Vec::with_capacity(groups.len());
 
         // Standby counters are cumulative on the slabs; snapshot for a
         // per-call tally.
@@ -485,14 +455,7 @@ impl DeviceFleet {
         let mut member_failovers_in = vec![0u64; nmembers];
         let mut member_drains = vec![0u64; nmembers];
         let mut fleet_tally = FleetTally::default();
-        let mut faults = FaultTally::default();
         let mut overload = OverloadTally::default();
-        let mut final_member: Vec<Option<usize>> = vec![None; groups.len()];
-        let mut cpu_short_circuit = vec![false; groups.len()];
-        let mut tels: Vec<GroupTelemetry> = Vec::new();
-        let mut op_groups: Vec<Vec<Op>> = Vec::new();
-        let mut latencies: Vec<f64> = Vec::new();
-        let mut class_samples: Vec<(ServePath, ServeQos, f64)> = Vec::new();
 
         // Modeled relative speed per member, for the brownout trigger.
         // Priced on the first group's geometry (any fixed yardstick
@@ -889,60 +852,25 @@ impl DeviceFleet {
             cpu_gids.sort_unstable();
 
             // ---- Execute the wave (deterministic per group). ----------
-            let live: Vec<(usize, usize)> =
-                placements.iter().map(|p| (p.gid, p.member)).collect();
-            let workers = cfg.workers.max(1).min(live.len().max(1));
-            let mut shards: Vec<Vec<(usize, usize)>> = (0..workers).map(|_| Vec::new()).collect();
-            for (i, lm) in live.iter().enumerate() {
-                shards[i % workers].push(*lm);
-            }
-            let groups_ref = &groups;
-            let specs_ref = &specs;
-            let member_faults_ref = &member_faults;
-            let mut runs: Vec<GroupRun> = std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .map(|shard| {
-                        scope.spawn(move || {
-                            shard
-                                .iter()
-                                .map(|&(gid, m)| {
-                                    run_group_on_device(
-                                        &specs_ref[m],
-                                        member_faults_ref[m].as_ref(),
-                                        member_salt(m),
-                                        &cfg,
-                                        &groups_ref[gid],
-                                        requests,
-                                        false,
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .zip(&shards)
-                    .flat_map(|(h, shard)| match h.join() {
-                        Ok(rs) => rs,
-                        Err(payload) => shard
-                            .iter()
-                            .map(|&(gid, _)| {
-                                recover_group_loss(&groups_ref[gid], requests, &cfg, &*payload)
-                            })
-                            .collect(),
-                    })
-                    .collect()
-            });
-            runs.sort_by_key(|r| r.gid);
             placements.sort_by_key(|p| p.gid);
+            let placed: Vec<Placed> = placements
+                .iter()
+                .map(|p| Placed {
+                    salt: member_salt(p.member),
+                    ..Placed::on(
+                        &groups[p.gid],
+                        &specs[p.member],
+                        member_faults[p.member].as_ref(),
+                    )
+                })
+                .collect();
+            let runs = execute(&placed, DeviceScope::Group, requests, &cfg, "fleet worker");
 
             // ---- Observe, in gid order, on the coordinator. -----------
             for (run, p) in runs.into_iter().zip(&placements) {
                 debug_assert_eq!(run.gid, p.gid);
                 let m = p.member;
-                breakers[m].observe(p.gid, run.faulted);
+                breakers[m].observe(p.gid, run.faulted());
                 let t = &run.tally;
                 let severity = ((t.injected + t.retries + t.cpu_fallbacks + t.failed) as f64
                     / 8.0)
@@ -951,12 +879,14 @@ impl DeviceFleet {
                 member_groups[m] += 1;
                 member_clock[m] += run.duration;
                 let completion = member_clock[m];
-                completion_of[p.gid] = completion;
+                completions.push((p.gid, completion));
                 // Worker-buffered decisions fold here, in gid order, so
                 // event ids are worker-count invariant; the observe's
                 // breaker transitions follow them.
                 if let Some(a) = alog.as_mut() {
-                    a.fold_group(completion, p.gid, &run.tel.audit);
+                    for t in &run.tels {
+                        a.fold_group(completion, p.gid, &t.audit);
+                    }
                 }
                 audit_transitions(
                     &mut alog,
@@ -966,17 +896,9 @@ impl DeviceFleet {
                     &breakers[m],
                     &mut seen_tr[m],
                 );
-                for (idx, outcome) in &run.results {
-                    if let Some(resp) = outcome.response() {
-                        latencies.push(completion);
-                        class_samples.push((resp.path, resp.qos, completion));
-                    }
-                    outcomes[*idx] = Some(outcome.clone());
-                }
-                faults.absorb(&run.tally);
-                final_member[p.gid] = Some(m);
-                tels.push(run.tel);
-                op_groups.push(run.ops);
+                let faulted = run.faulted();
+                served.absorb(run);
+                groups[p.gid].device = Some(m);
 
                 // Return routing resources.
                 if let Some(granule) = p.granule {
@@ -1026,7 +948,7 @@ impl DeviceFleet {
                             "drain_probe",
                             vec![
                                 ("member".into(), m.to_string()),
-                                ("clean".into(), (!run.faulted).to_string()),
+                                ("clean".into(), (!faulted).to_string()),
                             ],
                         );
                     }
@@ -1054,14 +976,14 @@ impl DeviceFleet {
 
             // ---- CPU tier, in gid order. ------------------------------
             for gid in cpu_gids {
-                let group = &groups[gid];
+                let group = &mut groups[gid];
                 fleet_tally.cpu_served_groups += 1;
-                cpu_short_circuit[gid] = true;
+                group.short_circuit = true;
                 let est = cpu_tier_cost(group.plan.params(), group.indices.len());
                 control.charge_host_op(&format!("fleet:cpu_serve:g{gid}"), est, DEFAULT_STREAM);
                 cpu_clock += est;
                 let completion = cpu_clock;
-                completion_of[gid] = completion;
+                completions.push((gid, completion));
                 if let Some(a) = alog.as_mut() {
                     a.record(
                         completion,
@@ -1074,21 +996,9 @@ impl DeviceFleet {
                         ],
                     );
                 }
-                for &idx in &group.indices {
-                    let req = &requests[idx];
-                    faults.cpu_fallbacks += 1;
-                    let recovered =
-                        SfftCpuBackend::reference(group.plan.params(), &req.time, req.seed);
-                    latencies.push(completion);
-                    class_samples.push((ServePath::Cpu, group.qos, completion));
-                    outcomes[idx] = Some(RequestOutcome::Done(ServeResponse {
-                        num_hits: recovered.len(),
-                        recovered,
-                        path: ServePath::Cpu,
-                        qos: group.qos,
-                        backend: BackendKind::SfftCpu,
-                    }));
-                }
+                let mut tally = FaultTally::default();
+                let results = answer_on_cpu(group, requests, &mut tally, None);
+                served.absorb(GroupRun::off_device(gid, results, tally));
             }
 
             // ---- Epoch end: quarantine clocks tick. -------------------
@@ -1109,61 +1019,31 @@ impl DeviceFleet {
             overload.breaker_trips += b.trips();
         }
 
-        // ---- Merge the timeline (telemetry only — the makespan below
-        // comes from the per-member clocks; one merged schedule would
-        // fair-share a single device's SMs across every member). -------
-        let mut all_ops: Vec<Vec<Op>> = Vec::with_capacity(1 + op_groups.len());
-        all_ops.push(control.ops());
-        all_ops.extend(op_groups);
-        let merged = merge_op_groups(&all_ops);
+        // ---- Assemble. The makespan is the slowest lane: one merged
+        // schedule would fair-share a single device's SMs across every
+        // member, so the merged timeline is kept for telemetry only. ----
+        served.op_groups.insert(0, control.ops());
+        served.audit = alog;
+        served.clock = Some(Clock {
+            completions,
+            arrivals: vec![0.0; requests.len()],
+        });
         let max_ck = specs
             .iter()
             .map(|s| s.max_concurrent_kernels)
             .max()
             .unwrap_or(1);
-        let sched = schedule(&merged, max_ck);
-        let concurrency = concurrency_profile(&merged, &sched);
-
-        let makespan = member_clock
-            .iter()
-            .copied()
-            .fold(cpu_clock, f64::max);
-
-        // ---- Collect. -------------------------------------------------
-        for (idx, err) in prefailed {
-            faults.failed += 1;
-            outcomes[idx] = Some(RequestOutcome::Failed {
-                error: err,
-                after_attempts: 0,
-            });
-        }
-        let outcomes: Vec<RequestOutcome> = outcomes
-            .into_iter()
-            // Invariant: every request is pre-failed, placed on a member,
-            // or served on the CPU tier.
-            .map(|o| o.expect("every request resolves to exactly one outcome"))
-            .collect();
-        let completed = outcomes.iter().filter(|o| o.response().is_some()).count();
-        let throughput = if makespan > 0.0 {
-            completed as f64 / makespan
-        } else {
-            0.0
-        };
-
-        tels.sort_by_key(|t| t.gid);
-        let kernels = merge_rollups(&tels);
-        let mut pool = PoolTally::default();
-        for t in &tels {
-            pool.absorb(&t.pool);
-        }
+        let makespan = member_clock.iter().copied().fold(cpu_clock, f64::max);
+        let mut report = self
+            .engine
+            .assemble(served, requests, &groups, max_ck, Some(makespan));
 
         let slab_now: Vec<StandbyStats> = self.slabs.iter().map(|s| s.stats()).collect();
         for (now, base) in slab_now.iter().zip(&slab_base) {
             fleet_tally.standby_acquires += now.acquires - base.acquires;
             fleet_tally.standby_exhausted += now.exhausted - base.exhausted;
         }
-
-        let devices: Vec<FleetDeviceInfo> = (0..nmembers)
+        report.devices = (0..nmembers)
             .map(|m| FleetDeviceInfo {
                 id: m,
                 spec_name: specs[m].name.clone(),
@@ -1177,66 +1057,10 @@ impl DeviceFleet {
                 busy: member_clock[m],
             })
             .collect();
-
-        let group_info: Vec<GroupInfo> = groups
-            .iter()
-            .map(|g| GroupInfo {
-                gid: g.gid,
-                indices: g.indices.clone(),
-                key: PlanKey {
-                    qos: g.qos,
-                    ..requests[g.indices[0]].plan_key()
-                },
-                short_circuit: cpu_short_circuit[g.gid],
-                hedged: false,
-                device: final_member[g.gid],
-            })
-            .collect();
-
-        let latency = LatencyStats::from_latencies(latencies);
-        let path_latency = path_latency_summary(&class_samples);
-
-        // Seal the flight recorder: terminals at each group's lane
-        // completion (prefailed requests at 0.0), latency = completion
-        // (the fleet path has no arrival process).
-        let audit = alog.map(|a| {
-            let mut gid_of: Vec<Option<usize>> = vec![None; requests.len()];
-            for g in &groups {
-                for &i in &g.indices {
-                    gid_of[i] = Some(g.gid);
-                }
-            }
-            let ts_of: Vec<f64> = (0..requests.len())
-                .map(|r| gid_of[r].map(|g| completion_of[g]).unwrap_or(0.0))
-                .collect();
-            let lat_of: Vec<Option<f64>> = (0..requests.len())
-                .map(|r| outcomes[r].response().map(|_| ts_of[r]))
-                .collect();
-            finalize_audit(a, &outcomes, &gid_of, &ts_of, &lat_of, &SloConfig::default())
-        });
-
-        ServeReport {
-            outcomes,
-            makespan,
-            throughput,
-            concurrency,
-            cache: self.engine.cache.stats(),
-            groups: groups.len(),
-            faults,
-            overload,
-            latency,
-            breaker: breaker_log,
-            timeline: ServeTimeline { ops: merged, sched },
-            group_info,
-            path_latency,
-            arrivals: Vec::new(),
-            kernels,
-            pool,
-            fleet: fleet_tally,
-            devices,
-            journal: None,
-            audit,
-        }
+        report.overload = overload;
+        report.breaker = breaker_log;
+        report.fleet = fleet_tally;
+        report
     }
 }
 

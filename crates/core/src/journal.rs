@@ -36,17 +36,15 @@
 use std::collections::HashMap;
 
 use fft::cplx::Cplx;
-use gpu_sim::{concurrency_profile, merge_op_groups, schedule, CrashPlan};
+use gpu_sim::{merge_op_groups, schedule, CrashPlan};
 
-use crate::audit::{finalize_audit, AuditLog, SloConfig};
+use crate::audit::AuditLog;
 use crate::backend::BackendKind;
 use crate::error::CusFftError;
-use crate::overload::{LatencyStats, OverloadTally};
-use crate::plan_cache::{PlanKey, ServeQos};
+use crate::exec::{execute, reject, DeviceScope, Placed, Served};
+use crate::plan_cache::ServeQos;
 use crate::serve::{
-    merge_rollups, recover_worker_loss, run_worker, FaultTally, Group, GroupInfo, GroupTelemetry,
-    PoolTally, RequestOutcome, ServeEngine, ServePath, ServeReport, ServeRequest, ServeResponse,
-    ServeTimeline, WorkerOutput,
+    RequestOutcome, ServeEngine, ServePath, ServeReport, ServeRequest, ServeResponse,
 };
 
 // ---------------------------------------------------------------------
@@ -726,30 +724,16 @@ pub struct JournalTally {
     pub requests_recovered: u64,
 }
 
-/// Accumulated execution state across epochs.
-struct EpochAccum {
-    op_groups: Vec<Vec<gpu_sim::Op>>,
-    outcomes: Vec<(usize, RequestOutcome)>,
-    tally: FaultTally,
-    groups_tel: Vec<GroupTelemetry>,
-    executed_groups: Vec<usize>,
-}
-
-impl EpochAccum {
-    fn new() -> Self {
-        EpochAccum {
-            op_groups: Vec::new(),
-            outcomes: Vec::new(),
-            tally: FaultTally::default(),
-            groups_tel: Vec::new(),
-            executed_groups: Vec::new(),
-        }
-    }
-
-    fn makespan(&self, max_concurrent: u32) -> f64 {
-        let merged = merge_op_groups(&self.op_groups);
-        schedule(&merged, max_concurrent).makespan
-    }
+/// The durable state a journaled run serves against.
+pub(crate) struct Durability<'j> {
+    journal: &'j mut Journal,
+    opts: &'j JournalOptions,
+    /// Terminal outcomes already durable (empty on a fresh run).
+    done: HashMap<usize, RequestOutcome>,
+    /// The first epoch this run executes.
+    start_epoch: u64,
+    /// Whether this run resumes a crashed one.
+    resumed: bool,
 }
 
 impl ServeEngine {
@@ -798,102 +782,14 @@ impl ServeEngine {
         opts: &JournalOptions,
     ) -> JournalRun {
         journal.begin(batch_fingerprint(requests), requests.len() as u32);
-        let stats0 = journal.stats();
-        let (groups, prefailed) = self.group_requests(requests);
-
-        let mut alog = if self.config.audit {
-            let mut a = AuditLog::new();
-            a.record(
-                0.0,
-                None,
-                None,
-                "batch_admitted",
-                vec![
-                    ("requests".into(), requests.len().to_string()),
-                    ("groups".into(), groups.len().to_string()),
-                    ("journaled".into(), "true".into()),
-                ],
-            );
-            Some(a)
-        } else {
-            None
-        };
-
-        // Validation failures are terminal at admission: durable before
-        // any device work.
-        let mut tally = FaultTally::default();
-        let mut prefailed_outcomes: Vec<(usize, RequestOutcome)> = Vec::new();
-        for (idx, err) in prefailed {
-            tally.failed += 1;
-            if let Some(a) = alog.as_mut() {
-                a.record(
-                    0.0,
-                    Some(idx),
-                    None,
-                    "invalid",
-                    vec![("reason".into(), err.to_string())],
-                );
-            }
-            prefailed_outcomes.push((
-                idx,
-                RequestOutcome::Failed {
-                    error: err,
-                    after_attempts: 0,
-                },
-            ));
-        }
-        for (idx, outcome) in &prefailed_outcomes {
-            journal.append(&JournalRecord::Done {
-                idx: *idx as u32,
-                outcome: outcome.clone(),
-            });
-        }
-        journal.flush();
-
-        let group_refs: Vec<&Group> = groups.iter().collect();
-        let mut accum = EpochAccum::new();
-        accum.tally.absorb(&tally);
-        accum.outcomes.extend(prefailed_outcomes);
-        let run = self.run_epochs(
-            requests,
-            &groups,
-            &group_refs,
-            0,
+        let durability = Durability {
             journal,
             opts,
-            &mut accum,
-            &|_| false,
-            &mut alog,
-        );
-
-        match run {
-            Err(epoch) => {
-                journal.crash();
-                JournalRun::Crashed(ServeCrash {
-                    epoch,
-                    durable_done: count_durable_done(journal),
-                    wasted_makespan: accum.makespan(self.spec.max_concurrent_kernels),
-                })
-            }
-            Ok(checkpoints) => {
-                let stats1 = journal.stats();
-                let journal_tally = JournalTally {
-                    records_appended: stats1.records_appended - stats0.records_appended,
-                    checkpoints,
-                    durable_bytes: stats1.durable_bytes,
-                    groups_executed: accum.executed_groups.len() as u64,
-                    groups_recovered: 0,
-                    requests_recovered: 0,
-                };
-                JournalRun::Completed(Box::new(self.assemble_report(
-                    requests,
-                    &groups,
-                    accum,
-                    journal_tally,
-                    alog,
-                )))
-            }
-        }
+            done: HashMap::new(),
+            start_epoch: 0,
+            resumed: false,
+        };
+        self.serve_epochs(requests, Some(durability)).into()
     }
 
     /// Restarts a journaled run from its durable journal: restores every
@@ -928,7 +824,7 @@ impl ServeEngine {
             });
         }
 
-        let mut durable_done: HashMap<usize, RequestOutcome> = HashMap::new();
+        let mut done: HashMap<usize, RequestOutcome> = HashMap::new();
         let mut next_epoch = 0u64;
         for rec in &records[1..] {
             match rec {
@@ -939,7 +835,7 @@ impl ServeEngine {
                             reason: format!("Done record for out-of-range request {idx}"),
                         });
                     }
-                    if durable_done.insert(idx, outcome.clone()).is_some() {
+                    if done.insert(idx, outcome.clone()).is_some() {
                         return Err(CusFftError::Journal {
                             reason: format!(
                                 "duplicate terminal record for request {idx} — \
@@ -959,393 +855,214 @@ impl ServeEngine {
                 JournalRecord::GroupStaged { .. } => {}
             }
         }
-
-        let stats0 = journal.stats();
-        let (groups, prefailed) = self.group_requests(requests);
-
-        let mut alog = if self.config.audit {
-            let mut a = AuditLog::new();
-            a.record(
-                0.0,
-                None,
-                None,
-                "batch_admitted",
-                vec![
-                    ("requests".into(), requests.len().to_string()),
-                    ("groups".into(), groups.len().to_string()),
-                    ("journaled".into(), "true".into()),
-                    ("resumed".into(), "true".into()),
-                ],
-            );
-            a.record(
-                0.0,
-                None,
-                None,
-                "resume",
-                vec![
-                    ("next_epoch".into(), next_epoch.to_string()),
-                    ("durable_done".into(), durable_done.len().to_string()),
-                ],
-            );
-            Some(a)
-        } else {
-            None
+        let durability = Durability {
+            journal,
+            opts,
+            done,
+            start_epoch: next_epoch,
+            resumed: true,
         };
+        Ok(self.serve_epochs(requests, Some(durability)).into())
+    }
 
-        let mut accum = EpochAccum::new();
-        let mut journal_tally = JournalTally::default();
-
-        // Validation failures re-derive deterministically; journal them
-        // if the original run's flush was lost.
-        let mut fresh_prefail: Vec<(usize, RequestOutcome)> = Vec::new();
-        for (idx, err) in prefailed {
-            if let Some(outcome) = durable_done.get(&idx) {
-                journal_tally.requests_recovered += 1;
-                if let Some(a) = alog.as_mut() {
-                    a.record(
-                        0.0,
-                        Some(idx),
-                        None,
-                        "recovered",
-                        vec![("source".into(), "journal".into())],
-                    );
-                }
-                accum.outcomes.push((idx, outcome.clone()));
-            } else {
-                accum.tally.failed += 1;
-                if let Some(a) = alog.as_mut() {
-                    a.record(
-                        0.0,
-                        Some(idx),
-                        None,
-                        "invalid",
-                        vec![("reason".into(), err.to_string())],
-                    );
-                }
-                let outcome = RequestOutcome::Failed {
-                    error: err,
-                    after_attempts: 0,
-                };
-                journal.append(&JournalRecord::Done {
-                    idx: idx as u32,
-                    outcome: outcome.clone(),
-                });
-                fresh_prefail.push((idx, outcome));
+    /// The epoch loop under every batch run: restore what is durable,
+    /// then stage, execute and checkpoint the remaining groups epoch by
+    /// epoch — or die at the armed crash epoch. Without `durability`
+    /// (the plain batch path) nothing is journaled and one epoch holds
+    /// every group. Each epoch's groups run one private device per worker
+    /// shard, with the aux-stream family sized over *all* groups, so
+    /// stream geometry (and with it every op sequence) is independent of
+    /// which groups remain.
+    pub(crate) fn serve_epochs(
+        &self,
+        requests: &[ServeRequest],
+        mut durability: Option<Durability>,
+    ) -> Result<ServeReport, ServeCrash> {
+        let mut root_attrs = Vec::new();
+        if let Some(d) = &durability {
+            root_attrs.push(("journaled", "true".to_string()));
+            if d.resumed {
+                root_attrs.push(("resumed", "true".to_string()));
             }
         }
-        if !fresh_prefail.is_empty() {
-            journal.flush();
-            accum.outcomes.extend(fresh_prefail);
+        let (mut groups, prefailed, alog) = self.form_groups(requests, &root_attrs);
+        let mut served = Served::new(requests.len(), alog);
+        let (done, appended_before) = match &mut durability {
+            Some(d) => {
+                if let (Some(a), true) = (served.audit.as_mut(), d.resumed) {
+                    a.record(
+                        0.0,
+                        None,
+                        None,
+                        "resume",
+                        vec![
+                            ("next_epoch".into(), d.start_epoch.to_string()),
+                            ("durable_done".into(), d.done.len().to_string()),
+                        ],
+                    );
+                }
+                (
+                    std::mem::take(&mut d.done),
+                    d.journal.stats().records_appended,
+                )
+            }
+            None => (HashMap::new(), 0),
+        };
+        let mut tally = JournalTally::default();
+        let mut recovered = |a: &mut Option<AuditLog>, idx: usize, gid: Option<usize>| {
+            tally.requests_recovered += 1;
+            if let Some(a) = a.as_mut() {
+                a.record(
+                    0.0,
+                    Some(idx),
+                    gid,
+                    "recovered",
+                    vec![("source".into(), "journal".into())],
+                );
+            }
+            done[&idx].clone()
+        };
+
+        // Validation failures re-derive deterministically; they are
+        // terminal at admission, so their records are durable before any
+        // device work.
+        for (idx, err) in prefailed {
+            let outcome = if done.contains_key(&idx) {
+                recovered(&mut served.audit, idx, None)
+            } else {
+                served.faults.failed += 1;
+                let outcome = reject(&mut served.audit, 0.0, idx, err);
+                if let Some(d) = &mut durability {
+                    d.journal.append(&JournalRecord::Done {
+                        idx: idx as u32,
+                        outcome: outcome.clone(),
+                    });
+                }
+                outcome
+            };
+            served.outcomes[idx] = Some(outcome);
+        }
+        if let Some(d) = &mut durability {
+            d.journal.flush();
         }
 
         // A group re-executes iff any of its outcomes is missing. A
         // partially journaled group re-runs whole — determinism makes
         // the recomputed outcomes bit-identical to the journaled ones,
         // so replacing them cannot double-complete anything.
-        let mut pending: Vec<&Group> = Vec::new();
-        for g in &groups {
-            if g.indices.iter().all(|idx| durable_done.contains_key(idx)) {
-                journal_tally.groups_recovered += 1;
-                for idx in &g.indices {
-                    journal_tally.requests_recovered += 1;
-                    if let Some(a) = alog.as_mut() {
-                        a.record(
-                            0.0,
-                            Some(*idx),
-                            Some(g.gid),
-                            "recovered",
-                            vec![("source".into(), "journal".into())],
-                        );
-                    }
-                    accum
-                        .outcomes
-                        .push((*idx, durable_done[idx].clone()));
+        let mut pending: Vec<usize> = Vec::new();
+        for g in &mut groups {
+            if g.indices.iter().all(|idx| done.contains_key(idx)) {
+                g.recovered = true;
+                tally.groups_recovered += 1;
+                for &idx in &g.indices {
+                    served.outcomes[idx] = Some(recovered(&mut served.audit, idx, Some(g.gid)));
                 }
             } else {
-                pending.push(g);
+                pending.push(g.gid);
             }
         }
 
-        let run = self.run_epochs(
-            requests,
-            &groups,
-            &pending,
-            next_epoch,
-            journal,
-            opts,
-            &mut accum,
-            &|idx| durable_done.contains_key(&idx),
-            &mut alog,
-        );
-
-        match run {
-            Err(epoch) => {
-                journal.crash();
-                Ok(JournalRun::Crashed(ServeCrash {
-                    epoch,
-                    durable_done: count_durable_done(journal),
-                    wasted_makespan: accum.makespan(self.spec.max_concurrent_kernels),
-                }))
-            }
-            Ok(checkpoints) => {
-                let stats1 = journal.stats();
-                journal_tally.records_appended =
-                    stats1.records_appended - stats0.records_appended;
-                journal_tally.checkpoints = checkpoints;
-                journal_tally.durable_bytes = stats1.durable_bytes;
-                journal_tally.groups_executed = accum.executed_groups.len() as u64;
-                Ok(JournalRun::Completed(Box::new(self.assemble_report(
-                    requests,
-                    &groups,
-                    accum,
-                    journal_tally,
-                    alog,
-                ))))
-            }
-        }
-    }
-
-    /// The epoch loop shared by first runs and resumes: stage, execute,
-    /// checkpoint — or die at the armed crash epoch (`Err(epoch)`; the
-    /// caller truncates the journal). `all_groups` sizes the aux-stream
-    /// family exactly like `serve_batch` does, so stream geometry (and
-    /// with it every op sequence) is independent of which groups remain.
-    #[allow(clippy::too_many_arguments)]
-    fn run_epochs(
-        &self,
-        requests: &[ServeRequest],
-        all_groups: &[Group],
-        run_groups: &[&Group],
-        start_epoch: u64,
-        journal: &mut Journal,
-        opts: &JournalOptions,
-        accum: &mut EpochAccum,
-        already_durable: &dyn Fn(usize) -> bool,
-        alog: &mut Option<AuditLog>,
-    ) -> Result<u64, u64> {
-        let epoch_groups = opts.epoch_groups.max(1);
-        let workers = self.config.workers;
-        let config = self.config;
-        let aux = all_groups
+        let aux = groups
             .iter()
             .map(|g| g.plan.num_streams())
             .max()
             .unwrap_or(0);
-        let mut checkpoints = 0u64;
-
-        for (chunk_i, epoch_chunk) in run_groups.chunks(epoch_groups).enumerate() {
+        let epoch_groups = durability
+            .as_ref()
+            .map_or(pending.len(), |d| d.opts.epoch_groups)
+            .max(1);
+        let start_epoch = durability.as_ref().map_or(0, |d| d.start_epoch);
+        for (chunk_i, chunk) in pending.chunks(epoch_groups).enumerate() {
             let epoch = start_epoch + chunk_i as u64;
-            for g in epoch_chunk {
-                journal.append(&JournalRecord::GroupStaged {
-                    gid: g.gid as u32,
-                    epoch: epoch as u32,
-                    indices: g.indices.iter().map(|&i| i as u32).collect(),
+            if let Some(d) = &mut durability {
+                for &gid in chunk {
+                    d.journal.append(&JournalRecord::GroupStaged {
+                        gid: gid as u32,
+                        epoch: epoch as u32,
+                        indices: groups[gid].indices.iter().map(|&i| i as u32).collect(),
+                    });
+                }
+            }
+            let placed: Vec<Placed> = chunk
+                .iter()
+                .map(|&gid| Placed::on(&groups[gid], &self.spec, self.config.faults.as_ref()))
+                .collect();
+            let scope = DeviceScope::Shard { aux };
+            let runs = execute(&placed, scope, requests, &self.config, "serve worker");
+            let mut epoch_outcomes = Vec::new();
+            for run in runs {
+                if durability.is_some() {
+                    epoch_outcomes.extend(run.results.iter().cloned());
+                }
+                served.absorb(run);
+            }
+            let Some(d) = &mut durability else { continue };
+            if d.opts.crash.fires_at(epoch) {
+                // The host dies before the epoch's flush: its records
+                // were appended but never made durable. The crash
+                // descriptor prices the wasted work.
+                d.journal.crash();
+                let merged = merge_op_groups(&served.op_groups);
+                return Err(ServeCrash {
+                    epoch,
+                    durable_done: count_durable_done(d.journal),
+                    wasted_makespan: schedule(&merged, self.spec.max_concurrent_kernels).makespan,
                 });
             }
-
-            let mut shards: Vec<Vec<&Group>> = (0..workers).map(|_| Vec::new()).collect();
-            for (i, g) in epoch_chunk.iter().enumerate() {
-                shards[i % workers].push(*g);
-            }
-            let worker_outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .map(|shard| {
-                        let spec = self.spec.clone();
-                        scope.spawn(move || run_worker(spec, shard, requests, aux, &config))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .zip(&shards)
-                    .map(|(h, shard)| match h.join() {
-                        Ok(out) => out,
-                        Err(payload) => {
-                            recover_worker_loss(shard, requests, &config, &*payload)
-                        }
-                    })
-                    .collect()
+            self.checkpoint(d.journal, epoch, &epoch_outcomes, &|idx| {
+                done.contains_key(&idx)
             });
-
-            let mut epoch_outcomes: Vec<(usize, RequestOutcome)> = Vec::new();
-            for w in worker_outputs {
-                accum.op_groups.push(w.ops);
-                accum.tally.absorb(&w.tally);
-                accum.groups_tel.extend(w.groups_tel);
-                epoch_outcomes.extend(w.results);
-            }
-            accum
-                .executed_groups
-                .extend(epoch_chunk.iter().map(|g| g.gid));
-
-            if opts.crash.fires_at(epoch) {
-                // The host dies before the epoch's flush: its Done
-                // records were appended but never made durable. The
-                // outcomes still join the in-memory accumulator so the
-                // crash descriptor can price the wasted work.
-                accum.outcomes.extend(epoch_outcomes);
-                return Err(epoch);
-            }
-
-            self.checkpoint(journal, epoch, &epoch_outcomes, already_durable);
-            checkpoints += 1;
-            if let Some(a) = alog.as_mut() {
-                a.record(
-                    epoch as f64,
-                    None,
-                    None,
-                    "checkpoint",
-                    vec![
-                        ("epoch".into(), epoch.to_string()),
-                        ("durable_bytes".into(), journal.stats().durable_bytes.to_string()),
-                    ],
-                );
-            }
-            accum.outcomes.extend(epoch_outcomes);
+            tally.checkpoints += 1;
+            audit_checkpoint(&mut served.audit, epoch, d.journal);
         }
 
-        // An empty tail (everything recovered, or an empty batch) still
-        // gets a final checkpoint so the journal visibly terminates.
-        if run_groups.is_empty() {
-            self.checkpoint(journal, start_epoch, &[], already_durable);
-            checkpoints += 1;
-            if let Some(a) = alog.as_mut() {
-                a.record(
-                    start_epoch as f64,
-                    None,
-                    None,
-                    "checkpoint",
-                    vec![
-                        ("epoch".into(), start_epoch.to_string()),
-                        ("durable_bytes".into(), journal.stats().durable_bytes.to_string()),
-                    ],
-                );
+        if let Some(d) = &mut durability {
+            // An empty tail (everything recovered, or an empty batch)
+            // still gets a final checkpoint so the journal visibly
+            // terminates.
+            if pending.is_empty() {
+                self.checkpoint(d.journal, start_epoch, &[], &|idx| done.contains_key(&idx));
+                tally.checkpoints += 1;
+                audit_checkpoint(&mut served.audit, start_epoch, d.journal);
             }
+            let stats = d.journal.stats();
+            tally.records_appended = stats.records_appended - appended_before;
+            tally.durable_bytes = stats.durable_bytes;
+            tally.groups_executed = pending.len() as u64;
         }
-        Ok(checkpoints)
+        let max_concurrent = self.spec.max_concurrent_kernels;
+        let mut report = self.assemble(served, requests, &groups, max_concurrent, None);
+        report.journal = durability.map(|_| tally);
+        Ok(report)
     }
+}
 
-    /// Builds the final report from accumulated epoch state, mirroring
-    /// `serve_batch`'s assembly (merge in deterministic order, schedule
-    /// once, gid-ordered float sums).
-    fn assemble_report(
-        &self,
-        requests: &[ServeRequest],
-        groups: &[Group],
-        accum: EpochAccum,
-        journal_tally: JournalTally,
-        alog: Option<AuditLog>,
-    ) -> ServeReport {
-        let EpochAccum {
-            op_groups,
-            outcomes: raw_outcomes,
-            tally,
-            mut groups_tel,
-            executed_groups,
-        } = accum;
+/// Records a `checkpoint` decision for `epoch` (stamped with the epoch
+/// ordinal — the journal path has no virtual clock).
+fn audit_checkpoint(alog: &mut Option<AuditLog>, epoch: u64, journal: &Journal) {
+    if let Some(a) = alog.as_mut() {
+        a.record(
+            epoch as f64,
+            None,
+            None,
+            "checkpoint",
+            vec![
+                ("epoch".into(), epoch.to_string()),
+                (
+                    "durable_bytes".into(),
+                    journal.stats().durable_bytes.to_string(),
+                ),
+            ],
+        );
+    }
+}
 
-        let merged = merge_op_groups(&op_groups);
-        let sched = schedule(&merged, self.spec.max_concurrent_kernels);
-        let concurrency = concurrency_profile(&merged, &sched);
-        let makespan = concurrency.makespan;
-
-        let mut outcomes: Vec<Option<RequestOutcome>> =
-            (0..requests.len()).map(|_| None).collect();
-        for (idx, outcome) in raw_outcomes {
-            outcomes[idx] = Some(outcome);
-        }
-        let outcomes: Vec<RequestOutcome> = outcomes
-            .into_iter()
-            // Invariant: every request is pre-failed, journaled, or
-            // served by exactly one executed group.
-            .map(|o| o.expect("every request resolves to exactly one outcome"))
-            .collect();
-
-        groups_tel.sort_by_key(|t| t.gid);
-        let kernels = merge_rollups(&groups_tel);
-        let mut pool = PoolTally::default();
-        for t in &groups_tel {
-            pool.absorb(&t.pool);
-        }
-
-        let executed: std::collections::HashSet<usize> = executed_groups.into_iter().collect();
-        let group_info: Vec<GroupInfo> = groups
-            .iter()
-            .filter(|g| executed.contains(&g.gid))
-            .map(|g| GroupInfo {
-                gid: g.gid,
-                indices: g.indices.clone(),
-                key: PlanKey {
-                    qos: g.qos,
-                    ..requests[g.indices[0]].plan_key()
-                },
-                short_circuit: false,
-                hedged: false,
-                device: None,
-            })
-            .collect();
-
-        let throughput = if makespan > 0.0 {
-            requests.len() as f64 / makespan
-        } else {
-            0.0
-        };
-
-        // Seal the flight recorder: placements and worker-buffered
-        // decisions fold in gid order (executed groups only — recovered
-        // groups already recorded `recovered` events), terminals at the
-        // request ordinal like the other clockless paths.
-        let audit = alog.map(|mut a| {
-            for g in groups.iter().filter(|g| executed.contains(&g.gid)) {
-                a.record(
-                    0.0,
-                    None,
-                    Some(g.gid),
-                    "group_placed",
-                    vec![
-                        ("members".into(), g.indices.len().to_string()),
-                        ("n".into(), requests[g.indices[0]].time.len().to_string()),
-                        ("k".into(), requests[g.indices[0]].k.to_string()),
-                        ("qos".into(), g.qos.label().into()),
-                        ("backend".into(), g.plan.backend().label().into()),
-                    ],
-                );
-                if let Some(t) = groups_tel.iter().find(|t| t.gid == g.gid) {
-                    a.fold_group(0.0, g.gid, &t.audit);
-                }
-            }
-            let mut gid_of: Vec<Option<usize>> = vec![None; requests.len()];
-            for g in groups {
-                for &i in &g.indices {
-                    gid_of[i] = Some(g.gid);
-                }
-            }
-            let ts_of: Vec<f64> = (0..requests.len()).map(|i| i as f64).collect();
-            let lat_of: Vec<Option<f64>> = vec![None; requests.len()];
-            finalize_audit(a, &outcomes, &gid_of, &ts_of, &lat_of, &SloConfig::default())
-        });
-
-        ServeReport {
-            outcomes,
-            makespan,
-            throughput,
-            concurrency,
-            cache: self.cache.stats(),
-            groups: groups.len(),
-            faults: tally,
-            overload: OverloadTally::default(),
-            latency: LatencyStats::default(),
-            breaker: Vec::new(),
-            timeline: ServeTimeline { ops: merged, sched },
-            group_info,
-            path_latency: Vec::new(),
-            arrivals: Vec::new(),
-            kernels,
-            pool,
-            fleet: crate::fleet::FleetTally::default(),
-            devices: Vec::new(),
-            journal: Some(journal_tally),
-            audit,
+impl From<Result<ServeReport, ServeCrash>> for JournalRun {
+    fn from(run: Result<ServeReport, ServeCrash>) -> Self {
+        match run {
+            Ok(report) => JournalRun::Completed(Box::new(report)),
+            Err(crash) => JournalRun::Crashed(crash),
         }
     }
 }
@@ -1366,8 +1083,7 @@ fn count_durable_done(journal: &Journal) -> usize {
 /// Convenience used by tests and the chaos harness: groups of a batch
 /// under this engine's cache, for sizing crash-epoch sweeps.
 pub fn plan_group_count(engine: &ServeEngine, requests: &[ServeRequest]) -> usize {
-    let (groups, _) = engine.group_requests(requests);
-    groups.len()
+    engine.form_groups(requests, &[]).0.len()
 }
 
 #[cfg(test)]

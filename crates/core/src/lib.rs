@@ -76,6 +76,7 @@ pub mod cufft;
 pub mod cutoff;
 pub mod chaos;
 pub mod error;
+mod exec;
 pub mod fleet;
 pub mod journal;
 pub mod locate;

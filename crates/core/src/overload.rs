@@ -52,25 +52,22 @@
 //!   (control ops, groups by gid, hedge losers by gid) via
 //!   [`gpu_sim::merge_op_groups`].
 
-use std::collections::HashMap;
-
-use gpu_sim::{
-    concurrency_profile, merge_op_groups, schedule, BreakerConfig, BreakerDecision, CircuitBreaker,
-    DeviceSpec, Op, DEFAULT_STREAM,
-};
+use gpu_sim::{BreakerConfig, BreakerDecision, CircuitBreaker, DeviceSpec, DEFAULT_STREAM};
 use sfft_cpu::SfftParams;
 
 use cusfft_telemetry::fmt_f64;
 
-use crate::audit::{finalize_audit, AuditLog, GroupAuditEvent, SloConfig};
-use crate::backend::{worker_device, Backend, BackendKind, GpuSimBackend, SfftCpuBackend};
+use crate::audit::{AuditLog, GroupAuditEvent};
+use crate::backend::{worker_device, Backend, GpuSimBackend};
 use crate::error::CusFftError;
-use crate::pipeline::ExecStreams;
+use crate::exec::{
+    answer_on_cpu, execute, reject, unregistered, Clock, DeviceScope, Group, GroupRun, Placed,
+    Served,
+};
 use crate::plan_cache::{PlanKey, ServeQos};
 use crate::serve::{
-    merge_rollups, rollup_kernels, run_group, validate_request, FaultTally, Group, GroupInfo,
-    GroupTelemetry, PathLatency, PoolTally, RequestOutcome, ServeConfig, ServeEngine, ServePath,
-    ServeReport, ServeRequest, ServeResponse, ServeTimeline,
+    validate_request, FaultTally, PathLatency, RequestOutcome, ServeEngine, ServePath, ServeReport,
+    ServeRequest,
 };
 
 /// One request in an open-loop arrival trace.
@@ -79,7 +76,8 @@ pub struct TimedRequest {
     /// The request itself.
     pub request: ServeRequest,
     /// Simulated arrival time (seconds). Traces must be sorted by
-    /// arrival — admission replays them in order.
+    /// arrival — admission replays them in order, and rejects an entry
+    /// that arrives before its predecessor as a bad request.
     pub arrival: f64,
     /// Optional completion deadline, in seconds *after arrival*.
     pub deadline: Option<f64>,
@@ -208,250 +206,6 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.clamp(1, len) - 1]
 }
 
-/// One group's execution on its private device. `pub(crate)` because
-/// the fleet router (`crate::fleet`) schedules the same unit of work
-/// across heterogeneous members.
-pub(crate) struct GroupRun {
-    pub(crate) gid: usize,
-    /// `(request index, outcome)` for every member.
-    pub(crate) results: Vec<(usize, RequestOutcome)>,
-    /// The private device's op recording (empty when short-circuited).
-    pub(crate) ops: Vec<Op>,
-    pub(crate) tally: FaultTally,
-    /// Whether the device injected any fault — the breaker's signal.
-    pub(crate) faulted: bool,
-    /// Simulated makespan of this group's ops alone; the hedging race
-    /// and the latency model are decided on it.
-    pub(crate) duration: f64,
-    /// True when the breaker kept this group off the device.
-    pub(crate) short_circuit: bool,
-    /// Kernel/pool telemetry of this run (empty when short-circuited or
-    /// the worker was lost; a losing hedge's telemetry is discarded
-    /// with its results).
-    pub(crate) tel: GroupTelemetry,
-}
-
-/// Executes one group on a fresh private device. Freshness is what
-/// makes each group's recording, tally and duration a function of the
-/// group alone (see the module docs).
-fn run_group_on_fresh_device(
-    spec: &DeviceSpec,
-    cfg: &ServeConfig,
-    group: &Group,
-    requests: &[ServeRequest],
-    hedged: bool,
-) -> GroupRun {
-    run_group_on_device(spec, cfg.faults.as_ref(), 0, cfg, group, requests, hedged)
-}
-
-/// [`run_group_on_fresh_device`] with an explicit fault plan and fault-
-/// domain salt: the fleet path provisions each run with its *member's*
-/// plan and salt (see [`gpu_sim::GpuDevice::set_fault_scope_salt`]), so
-/// the same group rolls independent fault timelines on different
-/// members.
-pub(crate) fn run_group_on_device(
-    spec: &DeviceSpec,
-    faults: Option<&gpu_sim::FaultConfig>,
-    scope_salt: u64,
-    cfg: &ServeConfig,
-    group: &Group,
-    requests: &[ServeRequest],
-    hedged: bool,
-) -> GroupRun {
-    let device = worker_device(spec, faults);
-    device.set_fault_scope_salt(scope_salt);
-    let streams = ExecStreams::on_device_private(&device, group.plan.num_streams());
-    let mut tally = FaultTally::default();
-    let mut audit = Vec::new();
-    let results = run_group(
-        &device,
-        group,
-        requests,
-        &streams,
-        cfg,
-        &mut tally,
-        hedged,
-        &mut audit,
-    );
-    tally.injected = device.faults_injected();
-    let ops = device.ops();
-    let duration = schedule(&ops, spec.max_concurrent_kernels).makespan;
-    // The device is fresh, so the whole recording belongs to this group.
-    let arena = streams.arena.stats();
-    let tel = GroupTelemetry {
-        gid: group.gid,
-        kernels: rollup_kernels(&device.records()),
-        pool: PoolTally {
-            alloc_ops: device.pool_alloc_ops(),
-            release_ops: device.pool_release_ops(),
-            reuse_hits: arena.reuse_hits,
-            fresh_misses: arena.fresh_misses,
-        },
-        audit,
-    };
-    GroupRun {
-        gid: group.gid,
-        results,
-        ops,
-        faulted: tally.injected > 0,
-        tally,
-        duration,
-        short_circuit: false,
-        tel,
-    }
-}
-
-/// Runs `groups` across up to `workers` threads (round-robin shards)
-/// and returns their runs sorted by gid. A worker lost to a panic
-/// outside every per-request boundary fails over to per-group CPU
-/// recovery, like [`crate::serve`]'s batch path.
-fn execute_wave<'g>(
-    spec: &DeviceSpec,
-    cfg: &ServeConfig,
-    groups: &[&'g Group],
-    requests: &[ServeRequest],
-    workers: usize,
-    hedged: bool,
-) -> Vec<GroupRun> {
-    let workers = workers.max(1).min(groups.len().max(1));
-    let mut shards: Vec<Vec<&'g Group>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, g) in groups.iter().enumerate() {
-        shards[i % workers].push(g);
-    }
-    let mut runs: Vec<GroupRun> = std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
-                scope.spawn(move || {
-                    shard
-                        .iter()
-                        .map(|g| run_group_on_fresh_device(spec, cfg, g, requests, hedged))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .zip(&shards)
-            .flat_map(|(h, shard)| match h.join() {
-                Ok(rs) => rs,
-                Err(payload) => shard
-                    .iter()
-                    .map(|g| recover_group_loss(g, requests, cfg, &*payload))
-                    .collect(),
-            })
-            .collect()
-    });
-    runs.sort_by_key(|r| r.gid);
-    runs
-}
-
-/// CPU failover for a group whose worker thread died: serve every
-/// member on the CPU path (or fail them typed). The recording is lost
-/// with the worker.
-pub(crate) fn recover_group_loss(
-    group: &Group,
-    requests: &[ServeRequest],
-    cfg: &ServeConfig,
-    payload: &(dyn std::any::Any + Send),
-) -> GroupRun {
-    let context = crate::error::panic_context("overload worker", payload);
-    let mut tally = FaultTally {
-        worker_panics: 1,
-        ..FaultTally::default()
-    };
-    let results = group
-        .indices
-        .iter()
-        .map(|&idx| {
-            let req = &requests[idx];
-            let outcome = if cfg.cpu_fallback {
-                tally.cpu_fallbacks += 1;
-                let recovered = SfftCpuBackend::reference(group.plan.params(), &req.time, req.seed);
-                RequestOutcome::Done(ServeResponse {
-                    num_hits: recovered.len(),
-                    recovered,
-                    path: ServePath::Cpu,
-                    qos: group.qos,
-                    backend: BackendKind::SfftCpu,
-                })
-            } else {
-                tally.failed += 1;
-                RequestOutcome::Failed {
-                    error: CusFftError::Panic {
-                        context: context.clone(),
-                    },
-                    after_attempts: 0,
-                }
-            };
-            (idx, outcome)
-        })
-        .collect();
-    GroupRun {
-        gid: group.gid,
-        results,
-        ops: Vec::new(),
-        tally,
-        faulted: false,
-        duration: 0.0,
-        short_circuit: false,
-        tel: GroupTelemetry {
-            gid: group.gid,
-            ..GroupTelemetry::default()
-        },
-    }
-}
-
-/// Serves a breaker-short-circuited group on the CPU path without
-/// touching any device (or fails it typed when CPU fallback is off).
-fn short_circuit_group(
-    group: &Group,
-    requests: &[ServeRequest],
-    cfg: &ServeConfig,
-    overload: &mut OverloadTally,
-) -> GroupRun {
-    let mut tally = FaultTally::default();
-    let results = group
-        .indices
-        .iter()
-        .map(|&idx| {
-            let req = &requests[idx];
-            overload.breaker_short_circuits += 1;
-            let outcome = if cfg.cpu_fallback {
-                tally.cpu_fallbacks += 1;
-                let recovered = SfftCpuBackend::reference(group.plan.params(), &req.time, req.seed);
-                RequestOutcome::Done(ServeResponse {
-                    num_hits: recovered.len(),
-                    recovered,
-                    path: ServePath::Cpu,
-                    qos: group.qos,
-                    backend: BackendKind::SfftCpu,
-                })
-            } else {
-                tally.failed += 1;
-                RequestOutcome::Failed {
-                    error: CusFftError::CircuitOpen,
-                    after_attempts: 0,
-                }
-            };
-            (idx, outcome)
-        })
-        .collect();
-    GroupRun {
-        gid: group.gid,
-        results,
-        ops: Vec::new(),
-        tally,
-        faulted: false,
-        duration: 0.0,
-        short_circuit: true,
-        tel: GroupTelemetry {
-            gid: group.gid,
-            ..GroupTelemetry::default()
-        },
-    }
-}
-
 /// The admission controller's service-time estimate for an `(n, k)`
 /// full-QoS request served by the simulated GPU on `spec`'s model
 /// device (see [`crate::backend::Backend::estimate_cost`]). Benchmarks
@@ -471,11 +225,34 @@ struct Admitted {
     finish: f64,
 }
 
+/// Rejects a trace entry whose timing admission cannot replay: a
+/// non-finite arrival or deadline, or an arrival earlier than the
+/// previous well-timed entry's (`prev`).
+fn check_timing(t: &TimedRequest, prev: Option<f64>) -> Result<(), CusFftError> {
+    let bad = |reason: String| Err(CusFftError::BadRequest { reason });
+    if !t.arrival.is_finite() {
+        return bad(format!("arrival {} is not finite", t.arrival));
+    }
+    if let Some(d) = t.deadline.filter(|d| !d.is_finite()) {
+        return bad(format!("deadline {d} is not finite"));
+    }
+    match prev {
+        Some(p) if t.arrival < p => bad(format!(
+            "arrival {} precedes the previous arrival {p}: traces must be sorted",
+            t.arrival
+        )),
+        _ => Ok(()),
+    }
+}
+
 impl ServeEngine {
     /// Serves an open-loop arrival trace under overload policy: bounded
     /// admission, deadlines, brownout QoS, a per-device circuit breaker
     /// and straggler hedging on top of [`ServeEngine::serve_batch`]'s
-    /// fault recovery. `trace` must be sorted by arrival time.
+    /// fault recovery. The trace should be sorted by arrival time: an
+    /// entry arriving before its predecessor, or with a non-finite
+    /// arrival or deadline, fails as a [`CusFftError::BadRequest`]
+    /// without being admitted (and without moving the admission clock).
     ///
     /// Returns outcomes in trace order; rejected requests come back as
     /// [`RequestOutcome::Shed`] / [`RequestOutcome::DeadlineExceeded`]
@@ -483,10 +260,6 @@ impl ServeEngine {
     /// a fixed `(trace, config, policy)` regardless of worker count and
     /// host pool width.
     pub fn serve_overload(&self, trace: &[TimedRequest], policy: &OverloadConfig) -> ServeReport {
-        assert!(
-            trace.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-            "overload traces must be sorted by arrival time"
-        );
         let cfg = self.config;
         let mut overload = OverloadTally::default();
         // The flight recorder. Admission verdicts are recorded here in
@@ -494,11 +267,7 @@ impl ServeEngine {
         // decisions made during epoch execution are buffered per gid and
         // folded onto the phase-5 virtual clock, so event ids stay
         // invariant under worker count and epoch parallelism.
-        let mut alog = if cfg.audit {
-            Some(AuditLog::new())
-        } else {
-            None
-        };
+        let mut served = Served::new(trace.len(), cfg.audit.then(AuditLog::new));
         // Control-plane markers (sheds, breaker events) are recorded on
         // their own device so they merge into the timeline exactly once,
         // in decision order.
@@ -507,8 +276,10 @@ impl ServeEngine {
         // requests.
         let model_dev = worker_device(&self.spec, None);
         let requests: Vec<ServeRequest> = trace.iter().map(|t| t.request.clone()).collect();
-
-        let mut outcomes: Vec<Option<RequestOutcome>> = (0..trace.len()).map(|_| None).collect();
+        // The terminal clock's arrivals: a mistimed entry takes the
+        // previous well-timed arrival, so the clock stays finite and
+        // monotone.
+        let mut arrivals: Vec<f64> = Vec::with_capacity(trace.len());
 
         // ---- Phase 1: admission, in arrival order. --------------------
         // A virtual single-server queue: service times come from the
@@ -516,47 +287,35 @@ impl ServeEngine {
         // deterministic and need no execution feedback.
         let mut admitted: Vec<Admitted> = Vec::new();
         let mut server_free = 0.0f64;
+        let mut prev: Option<f64> = None;
         for (idx, t) in trace.iter().enumerate() {
             let req = &t.request;
-            if let Err(e) = validate_request(req) {
-                if let Some(a) = alog.as_mut() {
-                    a.record(
-                        t.arrival,
-                        Some(idx),
-                        None,
-                        "invalid",
-                        vec![("reason".into(), e.to_string())],
-                    );
-                }
-                outcomes[idx] = Some(RequestOutcome::Failed {
-                    error: e,
-                    after_attempts: 0,
-                });
+            if let Err(e) = check_timing(t, prev) {
+                let ts = prev.unwrap_or(0.0);
+                arrivals.push(ts);
+                served.outcomes[idx] = Some(reject(&mut served.audit, ts, idx, e));
                 continue;
             }
-            let Some(backend) = self.registry.get(req.backend) else {
-                let reason = format!("backend {} is not registered", req.backend.label());
-                if let Some(a) = alog.as_mut() {
-                    a.record(
-                        t.arrival,
-                        Some(idx),
-                        None,
-                        "invalid",
-                        vec![("reason".into(), reason.clone())],
-                    );
+            prev = Some(t.arrival);
+            arrivals.push(t.arrival);
+            let checked = validate_request(req).and_then(|()| {
+                self.registry
+                    .get(req.backend)
+                    .ok_or(unregistered(req.backend))
+            });
+            let backend = match checked {
+                Ok(backend) => backend,
+                Err(e) => {
+                    served.outcomes[idx] = Some(reject(&mut served.audit, t.arrival, idx, e));
+                    continue;
                 }
-                outcomes[idx] = Some(RequestOutcome::Failed {
-                    error: CusFftError::BadRequest { reason },
-                    after_attempts: 0,
-                });
-                continue;
             };
             let depth = admitted.iter().filter(|a| a.finish > t.arrival).count();
             overload.peak_queue_depth = overload.peak_queue_depth.max(depth as u64);
             if depth >= policy.queue_capacity {
                 overload.shed += 1;
                 control.charge_host_op("shed:queue", 0.0, DEFAULT_STREAM);
-                if let Some(a) = alog.as_mut() {
+                if let Some(a) = served.audit.as_mut() {
                     a.record(
                         t.arrival,
                         Some(idx),
@@ -568,7 +327,7 @@ impl ServeEngine {
                         ],
                     );
                 }
-                outcomes[idx] = Some(RequestOutcome::Shed { queue_depth: depth });
+                served.outcomes[idx] = Some(RequestOutcome::Shed { queue_depth: depth });
                 continue;
             }
             let qos = if depth >= policy.brownout_depth {
@@ -591,7 +350,7 @@ impl ServeEngine {
                 if predicted > deadline {
                     overload.deadline_exceeded += 1;
                     control.charge_host_op("shed:deadline", 0.0, DEFAULT_STREAM);
-                    if let Some(a) = alog.as_mut() {
+                    if let Some(a) = served.audit.as_mut() {
                         a.record(
                             t.arrival,
                             Some(idx),
@@ -604,7 +363,7 @@ impl ServeEngine {
                             ],
                         );
                     }
-                    outcomes[idx] = Some(RequestOutcome::DeadlineExceeded {
+                    served.outcomes[idx] = Some(RequestOutcome::DeadlineExceeded {
                         predicted,
                         deadline,
                     });
@@ -612,7 +371,7 @@ impl ServeEngine {
                 }
             }
             overload.admitted += 1;
-            if let Some(a) = alog.as_mut() {
+            if let Some(a) = served.audit.as_mut() {
                 a.record(
                     t.arrival,
                     Some(idx),
@@ -650,33 +409,15 @@ impl ServeEngine {
         // First-appearance order, like the batch path; a group's arrival
         // is its latest member's (it cannot start before all members
         // exist).
-        let mut groups: Vec<Group> = Vec::new();
-        let mut group_keys: Vec<PlanKey> = Vec::new();
-        let mut group_arrival: Vec<f64> = Vec::new();
-        let mut key_to_group: HashMap<PlanKey, usize> = HashMap::new();
-        for a in &admitted {
-            let gid = match key_to_group.get(&a.key) {
-                Some(&g) => g,
-                None => {
-                    let g = groups.len();
-                    key_to_group.insert(a.key, g);
-                    groups.push(Group {
-                        gid: g,
-                        plan: self
-                            .cache
-                            .get_or_build(&self.home, &self.registry, a.key)
-                            .expect("admitted keys resolve to registered backends"),
-                        indices: Vec::new(),
-                        qos: a.key.qos,
-                    });
-                    group_keys.push(a.key);
-                    group_arrival.push(0.0);
-                    g
-                }
-            };
-            groups[gid].indices.push(a.idx);
-            group_arrival[gid] = group_arrival[gid].max(trace[a.idx].arrival);
-        }
+        let mut groups = Group::by_key(admitted.iter().map(|a| (a.idx, a.key)), |key| {
+            self.cache
+                .get_or_build(&self.home, &self.registry, key)
+                .expect("admitted keys resolve to registered backends")
+        });
+        let group_arrival: Vec<f64> = groups
+            .iter()
+            .map(|g| g.indices.iter().map(|&i| arrivals[i]).fold(0.0, f64::max))
+            .collect();
 
         // ---- Phase 2: breaker-gated execution in epochs. --------------
         // Admit the epoch's groups in gid order, execute the admitted
@@ -717,12 +458,12 @@ impl ServeEngine {
         }
         let gids: Vec<usize> = (0..groups.len()).collect();
         for epoch in gids.chunks(policy.epoch_groups.max(1)) {
-            let mut live: Vec<&Group> = Vec::new();
+            let mut live: Vec<usize> = Vec::new();
             for &gid in epoch {
                 let decision = breaker.admit(gid);
                 note_transitions(&mut pre[gid], &breaker, &mut seen_tr, cfg.audit);
                 match decision {
-                    BreakerDecision::Admit => live.push(&groups[gid]),
+                    BreakerDecision::Admit => live.push(gid),
                     BreakerDecision::Probe => {
                         overload.breaker_probes += 1;
                         control.charge_host_op("breaker:probe", 0.0, DEFAULT_STREAM);
@@ -733,7 +474,7 @@ impl ServeEngine {
                                 attrs: Vec::new(),
                             });
                         }
-                        live.push(&groups[gid]);
+                        live.push(gid);
                     }
                     BreakerDecision::ShortCircuit => {
                         control.charge_host_op("breaker:short_circuit", 0.0, DEFAULT_STREAM);
@@ -747,14 +488,32 @@ impl ServeEngine {
                                 )],
                             });
                         }
-                        runs[gid] =
-                            Some(short_circuit_group(&groups[gid], &requests, &cfg, &mut overload));
+                        // Straight to the CPU path without touching any
+                        // device, or failed typed when CPU fallback is off.
+                        let group = &mut groups[gid];
+                        group.short_circuit = true;
+                        overload.breaker_short_circuits += group.indices.len() as u64;
+                        let mut tally = FaultTally::default();
+                        let failure = (!cfg.cpu_fallback).then_some(CusFftError::CircuitOpen);
+                        let results = answer_on_cpu(group, &requests, &mut tally, failure);
+                        runs[gid] = Some(GroupRun::off_device(gid, results, tally));
                     }
                 }
             }
-            for run in execute_wave(&self.spec, &cfg, &live, &requests, cfg.workers, false) {
+            let placed: Vec<Placed> = live
+                .iter()
+                .map(|&gid| Placed::on(&groups[gid], &self.spec, cfg.faults.as_ref()))
+                .collect();
+            let wave = execute(
+                &placed,
+                DeviceScope::Group,
+                &requests,
+                &cfg,
+                "overload worker",
+            );
+            for run in wave {
                 let gid = run.gid;
-                breaker.observe(gid, run.faulted);
+                breaker.observe(gid, run.faulted());
                 note_transitions(&mut post[gid], &breaker, &mut seen_tr, cfg.audit);
                 runs[gid] = Some(run);
             }
@@ -771,26 +530,37 @@ impl ServeEngine {
         // (a tie goes to the primary), so the race is itself
         // deterministic. Both runs stay on the timeline.
         let mut hedge_losers: Vec<GroupRun> = Vec::new();
-        let mut hedged_gids: Vec<usize> = Vec::new();
+        let on_device = |r: &&GroupRun| !groups[r.gid].short_circuit;
         let mut durations: Vec<f64> = runs
             .iter()
             .flatten()
-            .filter(|r| !r.short_circuit)
+            .filter(on_device)
             .map(|r| r.duration)
             .collect();
         if !durations.is_empty() {
             durations.sort_by(f64::total_cmp);
             let budget = percentile(&durations, policy.hedge_percentile) * policy.hedge_factor;
-            let stragglers: Vec<&Group> = runs
+            let stragglers: Vec<Placed> = runs
                 .iter()
                 .flatten()
-                .filter(|r| !r.short_circuit && r.duration > budget)
-                .map(|r| &groups[r.gid])
+                .filter(|r| on_device(r) && r.duration > budget)
+                .map(|r| Placed {
+                    hedged: true,
+                    ..Placed::on(&groups[r.gid], &self.spec, cfg.faults.as_ref())
+                })
                 .collect();
-            for hedge in execute_wave(&self.spec, &cfg, &stragglers, &requests, cfg.workers, true) {
+            let hedges = execute(
+                &stragglers,
+                DeviceScope::Group,
+                &requests,
+                &cfg,
+                "overload worker",
+            );
+            drop(stragglers);
+            for hedge in hedges {
                 overload.hedges += 1;
                 let gid = hedge.gid;
-                hedged_gids.push(gid);
+                groups[gid].hedged = true;
                 let primary = runs[gid].take().expect("straggler has a primary run");
                 let hedge_won = hedge.duration < primary.duration;
                 if cfg.audit {
@@ -827,160 +597,69 @@ impl ServeEngine {
             }
         }
 
-        // ---- Phase 4: one merged timeline. ----------------------------
-        let mut op_groups: Vec<Vec<Op>> = Vec::with_capacity(1 + groups.len() + hedge_losers.len());
-        op_groups.push(control.ops());
-        op_groups.extend(runs.iter().flatten().map(|r| r.ops.clone()));
-        op_groups.extend(hedge_losers.iter().map(|l| l.ops.clone()));
-        let merged = merge_op_groups(&op_groups);
-        let sched = schedule(&merged, self.spec.max_concurrent_kernels);
-        let concurrency = concurrency_profile(&merged, &sched);
-        let makespan = concurrency.makespan;
-
-        // ---- Phase 5: latency over a virtual device serving groups in
-        // gid order (short-circuited groups complete instantly).
-        let mut latencies: Vec<f64> = Vec::new();
-        let mut class_samples: Vec<(ServePath, ServeQos, f64)> = Vec::new();
-        let mut completion_of: Vec<f64> = vec![0.0; groups.len()];
+        // ---- Phase 4: completions on a virtual device serving groups in
+        // gid order (short-circuited groups complete instantly). --------
+        let mut completions: Vec<(usize, f64)> = Vec::with_capacity(groups.len());
         let mut clock = 0.0f64;
-        for gid in 0..groups.len() {
-            let run = runs[gid].as_ref().expect("every group resolves to a run");
+        for (gid, run) in runs.iter().enumerate() {
+            let run = run.as_ref().expect("every group resolves to a run");
             let start = clock.max(group_arrival[gid]);
             let completion = start + run.duration;
             clock = completion;
-            completion_of[gid] = completion;
-            if let Some(a) = alog.as_mut() {
+            completions.push((gid, completion));
+            if let Some(a) = served.audit.as_mut() {
                 // The group's placement links to its first member's
                 // admission; everything buffered for the gid folds onto
                 // the virtual clock (decisions at start, execution
                 // events at completion) in gid order — invariant under
                 // worker count and epoch chunking.
-                let parent = groups[gid].indices.first().and_then(|&i| a.admission_of(i));
+                let group = &groups[gid];
+                let parent = group.indices.first().and_then(|&i| a.admission_of(i));
                 a.record_linked(
                     start,
                     None,
                     Some(gid),
                     "group_placed",
                     vec![
-                        ("members".into(), groups[gid].indices.len().to_string()),
-                        ("qos".into(), group_keys[gid].qos.label().into()),
+                        ("members".into(), group.indices.len().to_string()),
+                        ("qos".into(), group.qos.label().into()),
                         ("arrival".into(), fmt_f64(group_arrival[gid])),
                         ("duration".into(), fmt_f64(run.duration)),
                     ],
                     parent,
                 );
                 a.fold_group(start, gid, &pre[gid]);
-                a.fold_group(completion, gid, &run.tel.audit);
+                for t in &run.tels {
+                    a.fold_group(completion, gid, &t.audit);
+                }
                 a.fold_group(completion, gid, &post[gid]);
             }
-            for (idx, outcome) in &run.results {
-                if let Some(resp) = outcome.response() {
-                    let lat = completion - trace[*idx].arrival;
-                    latencies.push(lat);
-                    class_samples.push((resp.path, resp.qos, lat));
-                }
-            }
         }
-        let latency = LatencyStats::from_latencies(latencies);
-        let path_latency = path_latency_summary(&class_samples);
 
-        // ---- Collect. -------------------------------------------------
-        let mut faults = FaultTally::default();
-        for run in runs.iter().flatten() {
-            faults.absorb(&run.tally);
-        }
-        let num_groups = groups.len();
-        let group_info: Vec<GroupInfo> = groups
-            .iter()
-            .map(|g| GroupInfo {
-                gid: g.gid,
-                indices: g.indices.clone(),
-                key: group_keys[g.gid],
-                short_circuit: runs[g.gid]
-                    .as_ref()
-                    .map(|r| r.short_circuit)
-                    .unwrap_or(false),
-                hedged: hedged_gids.contains(&g.gid),
-                device: None,
-            })
-            .collect();
-        let mut tels: Vec<GroupTelemetry> = Vec::new();
+        // ---- Collect: control ops, winners by gid, hedge losers by gid.
+        // Only winners count toward outcomes, tallies and telemetry. ----
+        served.op_groups.push(control.ops());
         for run in runs.into_iter().flatten() {
-            tels.push(run.tel);
-            for (idx, outcome) in run.results {
-                outcomes[idx] = Some(outcome);
-            }
+            served.absorb(run);
         }
-        // Winner-run telemetry only, in gid order (`runs` is indexed by
-        // gid): the report's kernel/pool table is invariant under
-        // worker count and epoch chunking.
-        let kernels = merge_rollups(&tels);
-        let mut pool = PoolTally::default();
-        for t in &tels {
-            pool.absorb(&t.pool);
-        }
-        let outcomes: Vec<RequestOutcome> = outcomes
-            .into_iter()
-            // Invariant: every trace entry is pre-failed, rejected at
-            // admission, or a member of exactly one group run.
-            .map(|o| o.expect("every request resolves to exactly one outcome"))
-            .collect();
-
-        let completed = outcomes.iter().filter(|o| o.response().is_some()).count();
-        let throughput = if makespan > 0.0 {
-            completed as f64 / makespan
-        } else {
-            0.0
-        };
-
-        let audit = alog.map(|a| {
-            let mut gid_of: Vec<Option<usize>> = vec![None; trace.len()];
-            for g in &groups {
-                for &i in &g.indices {
-                    gid_of[i] = Some(g.gid);
-                }
-            }
-            // Terminals land at the group's virtual completion for
-            // executed requests, at arrival for rejected ones.
-            let ts_of: Vec<f64> = (0..trace.len())
-                .map(|i| {
-                    gid_of[i]
-                        .map(|g| completion_of[g])
-                        .unwrap_or(trace[i].arrival)
-                })
-                .collect();
-            let lat_of: Vec<Option<f64>> = (0..trace.len())
-                .map(|i| {
-                    outcomes[i]
-                        .response()
-                        .map(|_| ts_of[i] - trace[i].arrival)
-                })
-                .collect();
-            finalize_audit(a, &outcomes, &gid_of, &ts_of, &lat_of, &SloConfig::default())
+        served
+            .op_groups
+            .extend(hedge_losers.into_iter().map(|l| l.ops));
+        served.clock = Some(Clock {
+            completions,
+            arrivals: arrivals.clone(),
         });
-
-        ServeReport {
-            outcomes,
-            makespan,
-            throughput,
-            concurrency,
-            cache: self.cache.stats(),
-            groups: num_groups,
-            faults,
-            overload,
-            latency,
-            breaker: breaker.transitions().to_vec(),
-            timeline: ServeTimeline { ops: merged, sched },
-            group_info,
-            path_latency,
-            arrivals: trace.iter().map(|t| t.arrival).collect(),
-            kernels,
-            pool,
-            fleet: crate::fleet::FleetTally::default(),
-            devices: Vec::new(),
-            journal: None,
-            audit,
-        }
+        let mut report = self.assemble(
+            served,
+            &requests,
+            &groups,
+            self.spec.max_concurrent_kernels,
+            None,
+        );
+        report.overload = overload;
+        report.breaker = breaker.transitions().to_vec();
+        report.arrivals = arrivals;
+        report
     }
 }
 

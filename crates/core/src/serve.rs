@@ -43,8 +43,9 @@
 //!   op (which contends for no device resource).
 //! * **Backend re-routing** — when retries are exhausted and
 //!   [`ServeConfig::cpu_fallback`] is on, the request is re-routed to
-//!   the [`SfftCpuBackend`] ([`ServePath::Cpu`],
-//!   [`ServeResponse::backend`] = [`BackendKind::SfftCpu`]); otherwise
+//!   the [`SfftCpuBackend`](crate::backend::SfftCpuBackend)
+//!   ([`ServePath::Cpu`], [`ServeResponse::backend`] =
+//!   [`BackendKind::SfftCpu`]); otherwise
 //!   it fails with a typed [`CusFftError`]. Degradation is ordinary
 //!   backend selection, not a bolted-on special case.
 //! * **Panic containment** — per-request work runs under `catch_unwind`,
@@ -67,17 +68,12 @@ use std::sync::Arc;
 
 use cusfft_telemetry::{fmt_f64, tag_batch, tag_fallback, tag_retry};
 use fft::cplx::Cplx;
-use gpu_sim::{
-    concurrency_profile, merge_op_groups, schedule, ConcurrencyProfile, DeviceSpec, FaultConfig,
-    GpuDevice,
-};
+use gpu_sim::{ConcurrencyProfile, DeviceSpec, FaultConfig, GpuDevice};
 use signal::Recovered;
 
-use crate::backend::{
-    home_device, worker_device, BackendKind, BackendRegistry, ExecutePlan, PreparedState,
-    SfftCpuBackend,
-};
+use crate::backend::{home_device, BackendKind, BackendRegistry, PreparedState};
 use crate::error::CusFftError;
+use crate::exec::{cpu_answer, Group};
 use crate::overload::{LatencyStats, OverloadTally};
 use crate::pipeline::{ExecStreams, Variant};
 use crate::plan_cache::{CacheStats, PlanCache, PlanKey, ServeQos};
@@ -150,7 +146,8 @@ pub struct ServeConfig {
     pub faults: Option<FaultConfig>,
     /// Individual retry attempts per evicted request before degrading.
     pub max_retries: u32,
-    /// Re-route exhausted requests to the [`SfftCpuBackend`] instead of
+    /// Re-route exhausted requests to the
+    /// [`SfftCpuBackend`](crate::backend::SfftCpuBackend) instead of
     /// failing them.
     pub cpu_fallback: bool,
     /// Record the policy flight recorder ([`crate::audit`]): every
@@ -184,8 +181,9 @@ pub enum ServePath {
     Gpu,
     /// The request's own backend, after one or more individual retries.
     GpuRetry,
-    /// Fallback re-route to the [`SfftCpuBackend`] after retries were
-    /// exhausted (or a worker was lost).
+    /// Fallback re-route to the
+    /// [`SfftCpuBackend`](crate::backend::SfftCpuBackend) after retries
+    /// were exhausted (or a worker was lost).
     Cpu,
 }
 
@@ -495,14 +493,29 @@ pub(crate) fn merge_rollups(groups: &[GroupTelemetry]) -> Vec<KernelRollup> {
     map.into_values().collect()
 }
 
-/// Outcome of one [`ServeEngine::serve_batch`] call.
+/// Outcome of one serve call on any entry point:
+/// [`ServeEngine::serve_batch`], [`ServeEngine::serve_overload`],
+/// [`crate::fleet::DeviceFleet::serve`], [`ServeEngine::serve_journaled`]
+/// or [`ServeEngine::resume_from`]. One report assembler builds it on
+/// every path; fields documented as belonging to one path stay at their
+/// defaults on the others.
+///
+/// The benchmark package (`perfbench/`) reads these fields by name, so
+/// their shape is fixed by it: renaming or removing one breaks the
+/// benchmark build, and the benchmark may only change on its own.
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Per-request outcomes, in submission order.
     pub outcomes: Vec<RequestOutcome>,
-    /// Simulated makespan of the merged multi-stream timeline (seconds).
+    /// Simulated makespan (seconds): the merged multi-stream timeline's
+    /// on every path but the fleet, whose makespan is its slowest member
+    /// lane (or CPU-tier lane).
     pub makespan: f64,
-    /// Requests per simulated second (`0` for an empty batch).
+    /// Requests per simulated second of [`ServeReport::makespan`] (`0`
+    /// when the makespan is zero). The numerator is every request on the
+    /// batch and journaled paths, and the *completed* requests on the
+    /// overload and fleet paths, where shed, rejected and failed requests
+    /// do not count as served.
     pub throughput: f64,
     /// Per-stream occupancy and concurrency over the merged timeline.
     pub concurrency: ConcurrencyProfile,
@@ -557,19 +570,6 @@ impl ServeReport {
     pub fn responses(&self) -> impl Iterator<Item = &ServeResponse> {
         self.outcomes.iter().filter_map(|o| o.response())
     }
-}
-
-/// A geometry group: every request index served by one plan.
-pub(crate) struct Group {
-    /// Global group index — the fault-scope base, so fault decisions are
-    /// invariant under how groups are dealt to workers.
-    pub(crate) gid: usize,
-    pub(crate) plan: Arc<dyn ExecutePlan>,
-    pub(crate) indices: Vec<usize>,
-    /// Accuracy tier this group is served at (always [`ServeQos::Full`]
-    /// on the plain batch path; the overload path's brownout re-keys
-    /// pressured requests onto degraded plans).
-    pub(crate) qos: ServeQos,
 }
 
 /// Base backoff before the first individual retry; doubles per attempt.
@@ -668,253 +668,8 @@ impl ServeEngine {
     /// content or injected faults — bad requests and exhausted failures
     /// come back as [`RequestOutcome::Failed`].
     pub fn serve_batch(&self, requests: &[ServeRequest]) -> ServeReport {
-        let (groups, prefailed) = self.group_requests(requests);
-        let num_groups = groups.len();
-        // The flight recorder's batch-level root. The plain batch path
-        // has no virtual clock, so group-scope events carry ts 0.0 and
-        // terminals use the request index as a logical ordinal.
-        let mut alog = if self.config.audit {
-            let mut a = crate::audit::AuditLog::new();
-            a.record(
-                0.0,
-                None,
-                None,
-                "batch_admitted",
-                vec![
-                    ("requests".into(), requests.len().to_string()),
-                    ("groups".into(), num_groups.to_string()),
-                ],
-            );
-            Some(a)
-        } else {
-            None
-        };
-        let workers = self.config.workers;
-        let config = self.config;
-
-        // Deal groups round-robin: worker w owns groups w, w+W, w+2W, …
-        let mut shards: Vec<Vec<&Group>> = (0..workers).map(|_| Vec::new()).collect();
-        for (g, group) in groups.iter().enumerate() {
-            shards[g % workers].push(group);
-        }
-
-        // Aux streams per worker: enough for any plan in the batch.
-        let aux = groups
-            .iter()
-            .map(|g| g.plan.num_streams())
-            .max()
-            .unwrap_or(0);
-
-        // Each worker executes its groups on a private device, so op
-        // recording needs no synchronisation and the merged timeline is
-        // independent of thread interleaving. The workers themselves are
-        // cheap std threads: their inner `par_*` compute shares the one
-        // global host pool (see `ServeConfig::workers`), which also keeps
-        // results deterministic — the pool's chunking is independent of
-        // how many serve workers are in flight.
-        let worker_outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|shard| {
-                    let spec = self.spec.clone();
-                    scope.spawn(move || run_worker(spec, shard, requests, aux, &config))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .zip(&shards)
-                .map(|(h, shard)| match h.join() {
-                    Ok(out) => out,
-                    // A worker died outside every catch_unwind boundary
-                    // (should not happen — per-request work is contained).
-                    // Its ops and fault counters are lost, but its
-                    // requests are not: the engine thread serves them on
-                    // the CPU path (or fails them typed).
-                    Err(payload) => recover_worker_loss(shard, requests, &config, &*payload),
-                })
-                .collect()
-        });
-
-        // Merge per-worker recordings in worker order (deterministic),
-        // then schedule the combined op set once.
-        let op_groups: Vec<_> = worker_outputs.iter().map(|w| w.ops.clone()).collect();
-        let merged = merge_op_groups(&op_groups);
-        let sched = schedule(&merged, self.spec.max_concurrent_kernels);
-        let concurrency = concurrency_profile(&merged, &sched);
-        let makespan = concurrency.makespan;
-
-        let mut faults = FaultTally::default();
-        for w in &worker_outputs {
-            faults.absorb(&w.tally);
-        }
-
-        let mut outcomes: Vec<Option<RequestOutcome>> =
-            (0..requests.len()).map(|_| None).collect();
-        let mut groups_tel: Vec<GroupTelemetry> = Vec::new();
-        for w in worker_outputs {
-            groups_tel.extend(w.groups_tel);
-            for (idx, outcome) in w.results {
-                outcomes[idx] = Some(outcome);
-            }
-        }
-        // Global group order, not worker order, so the report's float
-        // sums are invariant under the worker count.
-        groups_tel.sort_by_key(|t| t.gid);
-        let kernels = merge_rollups(&groups_tel);
-        let mut pool = PoolTally::default();
-        for t in &groups_tel {
-            pool.absorb(&t.pool);
-        }
-        for (idx, err) in prefailed {
-            if let Some(a) = alog.as_mut() {
-                a.record(
-                    0.0,
-                    Some(idx),
-                    None,
-                    "invalid",
-                    vec![("reason".into(), err.to_string())],
-                );
-            }
-            faults.failed += 1;
-            outcomes[idx] = Some(RequestOutcome::Failed {
-                error: err,
-                after_attempts: 0,
-            });
-        }
-        let outcomes: Vec<RequestOutcome> = outcomes
-            .into_iter()
-            // Invariant: every request is either pre-failed by validation
-            // or assigned to exactly one group, and every group position
-            // resolves (run_group returns an outcome per index; a lost
-            // worker is recovered above).
-            .map(|o| o.expect("every request resolves to exactly one outcome"))
-            .collect();
-
-        let throughput = if makespan > 0.0 {
-            requests.len() as f64 / makespan
-        } else {
-            0.0
-        };
-
-        let group_info = groups
-            .iter()
-            .map(|g| GroupInfo {
-                gid: g.gid,
-                indices: g.indices.clone(),
-                key: PlanKey {
-                    qos: g.qos,
-                    ..requests[g.indices[0]].plan_key()
-                },
-                short_circuit: false,
-                hedged: false,
-                device: None,
-            })
-            .collect();
-
-        let audit = alog.map(|mut a| {
-            let mut gid_of: Vec<Option<usize>> = vec![None; requests.len()];
-            // gid order = audit fold order, so event ids are invariant
-            // under the worker count (groups_tel is gid-sorted above).
-            for g in &groups {
-                a.record(
-                    0.0,
-                    None,
-                    Some(g.gid),
-                    "group_placed",
-                    vec![
-                        ("members".into(), g.indices.len().to_string()),
-                        ("n".into(), requests[g.indices[0]].time.len().to_string()),
-                        ("k".into(), requests[g.indices[0]].k.to_string()),
-                        ("qos".into(), g.qos.label().into()),
-                        ("backend".into(), g.plan.backend().label().into()),
-                    ],
-                );
-                for &idx in &g.indices {
-                    gid_of[idx] = Some(g.gid);
-                }
-                if let Some(t) = groups_tel.iter().find(|t| t.gid == g.gid) {
-                    a.fold_group(0.0, g.gid, &t.audit);
-                }
-            }
-            let ts_of: Vec<f64> = (0..requests.len()).map(|i| i as f64).collect();
-            let lat_of: Vec<Option<f64>> = vec![None; requests.len()];
-            crate::audit::finalize_audit(
-                a,
-                &outcomes,
-                &gid_of,
-                &ts_of,
-                &lat_of,
-                &crate::audit::SloConfig::default(),
-            )
-        });
-
-        ServeReport {
-            outcomes,
-            makespan,
-            throughput,
-            concurrency,
-            cache: self.cache.stats(),
-            groups: num_groups,
-            faults,
-            overload: OverloadTally::default(),
-            latency: LatencyStats::default(),
-            breaker: Vec::new(),
-            timeline: ServeTimeline { ops: merged, sched },
-            group_info,
-            path_latency: Vec::new(),
-            arrivals: Vec::new(),
-            kernels,
-            pool,
-            fleet: crate::fleet::FleetTally::default(),
-            devices: Vec::new(),
-            journal: None,
-            audit,
-        }
-    }
-
-    /// Resolves each request's plan through the cache and groups request
-    /// indices by plan, in first-appearance order. Requests that fail
-    /// validation (the geometry the plan constructor would reject) are
-    /// returned separately as typed failures instead of panicking.
-    pub(crate) fn group_requests(
-        &self,
-        requests: &[ServeRequest],
-    ) -> (Vec<Group>, Vec<(usize, CusFftError)>) {
-        let mut groups: Vec<Group> = Vec::new();
-        let mut prefailed: Vec<(usize, CusFftError)> = Vec::new();
-        let mut key_to_group: std::collections::HashMap<PlanKey, usize> =
-            std::collections::HashMap::new();
-        for (idx, req) in requests.iter().enumerate() {
-            if let Err(e) = validate_request(req) {
-                prefailed.push((idx, e));
-                continue;
-            }
-            let key = req.plan_key();
-            // Look up per request — cache counters reflect request
-            // traffic, the signal a production cache sizes itself by.
-            let Some(plan) = self.cache.get_or_build(&self.home, &self.registry, key) else {
-                prefailed.push((
-                    idx,
-                    CusFftError::BadRequest {
-                        reason: format!("backend {} is not registered", req.backend.label()),
-                    },
-                ));
-                continue;
-            };
-            match key_to_group.get(&key) {
-                Some(&g) => groups[g].indices.push(idx),
-                None => {
-                    key_to_group.insert(key, groups.len());
-                    groups.push(Group {
-                        gid: groups.len(),
-                        plan,
-                        indices: vec![idx],
-                        qos: ServeQos::Full,
-                    });
-                }
-            }
-        }
-        (groups, prefailed)
+        self.serve_epochs(requests, None)
+            .expect("a run without a journal has no crash point")
     }
 }
 
@@ -933,77 +688,6 @@ pub(crate) fn validate_request(req: &ServeRequest) -> Result<(), CusFftError> {
         return bad(format!("sparsity k={} out of 1..={}", req.k, n / 8));
     }
     Ok(())
-}
-
-pub(crate) struct WorkerOutput {
-    /// `(request index, outcome)` pairs for every request this worker ran.
-    pub(crate) results: Vec<(usize, RequestOutcome)>,
-    /// The worker's private op recording.
-    pub(crate) ops: Vec<gpu_sim::Op>,
-    /// The worker's fault/recovery counters.
-    pub(crate) tally: FaultTally,
-    /// Per-group kernel/pool telemetry, in this worker's group order.
-    pub(crate) groups_tel: Vec<GroupTelemetry>,
-}
-
-/// Executes `shard`'s groups serially on a private device: prepare every
-/// request in a group, one cross-request batched cuFFT per side, then
-/// finish each request — recovering from injected faults per request (see
-/// the module docs). The stream family is created once so consecutive
-/// groups on this worker genuinely serialise on it.
-pub(crate) fn run_worker(
-    spec: DeviceSpec,
-    shard: &[&Group],
-    requests: &[ServeRequest],
-    aux: usize,
-    cfg: &ServeConfig,
-) -> WorkerOutput {
-    let device = worker_device(&spec, cfg.faults.as_ref());
-    let streams = ExecStreams::on_device_private(&device, aux);
-    let mut tally = FaultTally::default();
-    let mut results = Vec::new();
-    let mut groups_tel = Vec::new();
-    let mut rec_base = 0usize;
-    for group in shard {
-        let alloc0 = device.pool_alloc_ops();
-        let release0 = device.pool_release_ops();
-        let arena0 = streams.arena.stats();
-        let mut group_audit = Vec::new();
-        results.extend(run_group(
-            &device,
-            group,
-            requests,
-            &streams,
-            cfg,
-            &mut tally,
-            false,
-            &mut group_audit,
-        ));
-        // Everything recorded/charged since the previous group boundary
-        // belongs to this group: run_group resets the arena on both
-        // ends, so pool releases cannot leak across groups.
-        let records = device.records();
-        let arena1 = streams.arena.stats();
-        groups_tel.push(GroupTelemetry {
-            gid: group.gid,
-            kernels: rollup_kernels(&records[rec_base..]),
-            pool: PoolTally {
-                alloc_ops: device.pool_alloc_ops() - alloc0,
-                release_ops: device.pool_release_ops() - release0,
-                reuse_hits: arena1.reuse_hits - arena0.reuse_hits,
-                fresh_misses: arena1.fresh_misses - arena0.fresh_misses,
-            },
-            audit: group_audit,
-        });
-        rec_base = records.len();
-    }
-    tally.injected = device.faults_injected();
-    WorkerOutput {
-        results,
-        ops: device.ops(),
-        tally,
-        groups_tel,
-    }
 }
 
 /// Runs `f` inside a panic boundary, converting a panic into a typed
@@ -1309,17 +993,7 @@ pub(crate) fn run_group(
                 // timeline without inventing a device cost for CPU work.
                 device.set_op_tag(tag_fallback(g, j, BackendKind::SfftCpu.code(), hedged));
                 device.charge_host_op("cpu_fallback", 0.0, streams.main);
-                // Straight to the backend's pure computation — never the
-                // plan cache, which worker threads must not touch (its
-                // counters are part of the determinism contract).
-                let recovered = SfftCpuBackend::reference(plan.params(), &req.time, req.seed);
-                RequestOutcome::Done(ServeResponse {
-                    num_hits: recovered.len(),
-                    recovered,
-                    path: ServePath::Cpu,
-                    qos: group.qos,
-                    backend: BackendKind::SfftCpu,
-                })
+                RequestOutcome::Done(cpu_answer(group, req))
             }
             None => {
                 tally.failed += 1;
@@ -1348,56 +1022,6 @@ pub(crate) fn run_group(
         // was pushed to `individual`, which always writes an outcome.
         .map(|(&idx, o)| (idx, o.expect("every group position resolves")))
         .collect()
-}
-
-/// Engine-thread failover for a worker that died outside every
-/// per-request panic boundary: serve its requests on the CPU path (or
-/// fail them typed). Ops and device-side fault counters are lost with
-/// the worker.
-pub(crate) fn recover_worker_loss(
-    shard: &[&Group],
-    requests: &[ServeRequest],
-    cfg: &ServeConfig,
-    payload: &(dyn std::any::Any + Send),
-) -> WorkerOutput {
-    let context = crate::error::panic_context("serve worker", payload);
-    let mut tally = FaultTally {
-        worker_panics: 1,
-        ..FaultTally::default()
-    };
-    let mut results = Vec::new();
-    for group in shard {
-        for &idx in &group.indices {
-            let req = &requests[idx];
-            let outcome = if cfg.cpu_fallback {
-                tally.cpu_fallbacks += 1;
-                let recovered =
-                    SfftCpuBackend::reference(group.plan.params(), &req.time, req.seed);
-                RequestOutcome::Done(ServeResponse {
-                    num_hits: recovered.len(),
-                    recovered,
-                    path: ServePath::Cpu,
-                    qos: group.qos,
-                    backend: BackendKind::SfftCpu,
-                })
-            } else {
-                tally.failed += 1;
-                RequestOutcome::Failed {
-                    error: CusFftError::Panic {
-                        context: context.clone(),
-                    },
-                    after_attempts: 0,
-                }
-            };
-            results.push((idx, outcome));
-        }
-    }
-    WorkerOutput {
-        results,
-        ops: Vec::new(),
-        tally,
-        groups_tel: Vec::new(),
-    }
 }
 
 #[cfg(test)]

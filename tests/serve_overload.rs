@@ -480,3 +480,88 @@ fn sdc_at_rate_one_is_detected_and_recovered() {
         );
     }
 }
+
+/// Asserts that `bad` entries of `trace` fail as typed bad requests with
+/// an `invalid` audit verdict, and that every other entry is served as
+/// if the bad ones were absent from the trace.
+fn assert_bad_entries_fail_typed(trace: &[TimedRequest], bad: &[usize]) {
+    let engine = ServeEngine::new(
+        DeviceSpec::tesla_k20x(),
+        ServeConfig {
+            audit: true,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("serve config is valid");
+    let report = engine.serve_overload(trace, &permissive_policy());
+    let audit = report.audit.as_ref().expect("audit is on");
+    audit
+        .validate()
+        .expect("the audit log is an admission-rooted forest");
+    let good: Vec<TimedRequest> = (0..trace.len())
+        .filter(|i| !bad.contains(i))
+        .map(|i| trace[i].clone())
+        .collect();
+    let clean = engine.serve_overload(&good, &permissive_policy());
+    let mut served = clean.outcomes.iter();
+    for (i, outcome) in report.outcomes.iter().enumerate() {
+        if bad.contains(&i) {
+            assert!(
+                matches!(
+                    outcome,
+                    RequestOutcome::Failed {
+                        error: cusfft::CusFftError::BadRequest { .. },
+                        after_attempts: 0,
+                    }
+                ),
+                "entry {i} must fail as a bad request, got {outcome:?}"
+            );
+            assert!(
+                audit
+                    .log
+                    .events
+                    .iter()
+                    .any(|e| e.request == Some(i) && e.name == "invalid"),
+                "entry {i} carries an invalid verdict"
+            );
+        } else {
+            assert_eq!(
+                Some(outcome),
+                served.next(),
+                "entry {i} is served as without the bad entries"
+            );
+        }
+    }
+    assert!(report.arrivals.iter().all(|a| a.is_finite()));
+    let registry = cusfft::observe::metrics_registry(&report);
+    assert!(!registry.render_prometheus().is_empty());
+}
+
+/// A trace out of arrival order fails the late-stamped entries typed
+/// instead of panicking.
+#[test]
+fn unsorted_trace_fails_typed_instead_of_panicking() {
+    let mut trace: Vec<TimedRequest> = batch(6)
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| TimedRequest::at(r, i as f64 * 1e-4))
+        .collect();
+    // Entry 3 arrives before entry 2; entry 4 is back in order.
+    trace[3].arrival = 0.5e-4;
+    assert_bad_entries_fail_typed(&trace, &[3]);
+}
+
+/// Non-finite arrivals and deadlines fail typed instead of poisoning
+/// admission or the audit clock.
+#[test]
+fn nan_trace_fails_typed_instead_of_panicking() {
+    let mut trace: Vec<TimedRequest> = batch(6)
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| TimedRequest::at(r, i as f64 * 1e-4))
+        .collect();
+    trace[0].arrival = f64::NAN;
+    trace[2].arrival = f64::INFINITY;
+    trace[4].deadline = Some(f64::NAN);
+    assert_bad_entries_fail_typed(&trace, &[0, 2, 4]);
+}
