@@ -301,7 +301,9 @@ impl GroupRun {
 /// their inner `par_*` compute shares the one global host pool, so
 /// results stay deterministic under any worker count. A worker lost
 /// outside every per-request panic boundary has its groups answered on
-/// the calling thread by [`recover_lost`], labelled `label`.
+/// the calling thread by [`recover_lost`], labelled `label` — once for
+/// its whole shard, or once per group in the [`DeviceScope::Group`]
+/// scope, so each recovered group counts one worker panic there.
 pub(crate) fn execute(
     placed: &[Placed],
     scope: DeviceScope,
