@@ -78,9 +78,16 @@ pub fn sort_select_device(
 }
 
 /// Optimized cutoff: fast k-selection (Algorithm 6). One pass over the
-/// magnitudes; every element at or above `threshold` is appended through
-/// an atomic cursor. Returns the selected indices (sorted, for
-/// determinism — real CUDA output order depends on warp scheduling).
+/// magnitudes; every element at or above `threshold` bumps an atomic
+/// cursor and is stored to the output. Returns the selected indices in
+/// ascending order.
+///
+/// On a real GPU the cursor hands out slots in warp-scheduling order. Here
+/// each selected `tid` stores at its rank among the selected indices (the
+/// exclusive prefix count of selected `j < tid`, computed on the host
+/// before the launch), which is the slot a sequential run's cursor gives
+/// it. The traced store addresses, and with them the kernel's modeled
+/// transactions, therefore do not depend on how host threads interleave.
 pub fn fast_select_device(
     device: &GpuDevice,
     mags: &DeviceBuffer<f64>,
@@ -88,6 +95,16 @@ pub fn fast_select_device(
     stream: StreamId,
 ) -> Result<Vec<usize>, GpuError> {
     let b = mags.len();
+    let mut selected = 0u32;
+    let rank: Vec<u32> = mags
+        .as_slice()
+        .iter()
+        .map(|&v| {
+            let r = selected;
+            selected += u32::from(v >= threshold);
+            r
+        })
+        .collect();
     let out = DevAtomicU32::zeroed(b);
     let cursor = DevAtomicU32::zeroed(1);
     let cfg = LaunchConfig::for_elements(b, BLOCK);
@@ -98,14 +115,12 @@ pub fn fast_select_device(
         }
         let v = gm.ld(mags, tid);
         if v >= threshold {
-            let slot = cursor.fetch_add(gm, 0, 1) as usize;
-            out.store(gm, slot, tid as u32);
+            cursor.fetch_add(gm, 0, 1);
+            out.store(gm, rank[tid] as usize, tid as u32);
         }
     })?;
     let count = cursor.snapshot()[0] as usize;
-    let mut sel: Vec<usize> = out.snapshot()[..count].iter().map(|&v| v as usize).collect();
-    sel.sort_unstable();
-    Ok(sel)
+    Ok(out.snapshot()[..count].iter().map(|&v| v as usize).collect())
 }
 
 /// Chooses the fast-selection threshold from the bucket magnitudes: a

@@ -289,15 +289,13 @@ mod tests {
 
     #[test]
     fn traced_atomics_record_kind() {
-        use crate::trace::{AccessKind, ThreadTrace};
+        use crate::trace::trace_block;
         let a = DevAtomicU32::zeroed(2);
-        let mut tr = ThreadTrace::default();
-        {
-            let mut gm = Gmem::traced(&mut tr);
-            a.fetch_add(&mut gm, 0, 1);
-        }
-        assert_eq!(tr.accesses.len(), 1);
-        assert_eq!(tr.accesses[0].kind, AccessKind::Atomic);
+        let t = trace_block(32, 1, |_, gm| {
+            a.fetch_add(gm, 0, 1);
+        });
+        assert_eq!(t.atomic_addrs, vec![a.base_addr]);
+        assert_eq!((t.mem_ops, t.transactions, t.bytes), (1, 1, 32));
     }
 
     #[test]

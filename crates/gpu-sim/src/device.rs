@@ -5,7 +5,10 @@
 //! concurrently on the shared work-stealing pool behind the vendored
 //! `rayon` (sized by `CUSFFT_HOST_THREADS`; `=1` is the sequential
 //! path) — while a sampled subset of blocks is traced for the cost
-//! model. Two launch shapes cover every kernel in the paper:
+//! model. A sampled block streams its accesses through the worker's
+//! per-warp coalescer ([`crate::trace`]) as its threads run and returns
+//! one small [`BlockTally`]; nothing is stored per thread. Two launch
+//! shapes cover every kernel in the paper:
 //!
 //! * [`GpuDevice::launch_map`] — thread `tid` computes `out[tid] = f(tid)`.
 //!   Safe scatter-free writes; the pool splits the output into disjoint
@@ -22,8 +25,10 @@
 //! * blocks write disjoint output chunks or go through the atomic cells;
 //! * trace sampling is keyed on `block_idx` (`block_idx % sample_every`),
 //!   not on which thread ran the block;
-//! * `par_*` collects block traces positionally, so `finish_launch`
-//!   aggregates them in block order no matter the completion order;
+//! * a block's tally depends only on its own threads, which run in
+//!   thread order on one worker, and `par_*` collects the tallies
+//!   positionally, so `finish_launch` folds them in block order no matter
+//!   the completion order;
 //! * every launch appends exactly one [`Op`] under the state lock after
 //!   all blocks finish, so op order is the enqueue order.
 //!
@@ -57,10 +62,10 @@ use crate::error::{GpuError, TransferDir};
 use crate::fault::{FaultClass, FaultConfig, FaultState, SdcTarget};
 use crate::gmem::Gmem;
 use crate::launch::{LaunchConfig, ThreadCtx};
-use crate::metrics::{aggregate, KernelStats};
+use crate::metrics::KernelStats;
 use crate::spec::DeviceSpec;
 use crate::timeline::{schedule, Engine, Op, StreamId};
-use crate::trace::ThreadTrace;
+use crate::trace::{trace_block, BlockTally};
 
 /// Upper bound on traced threads per launch — keeps tracing overhead flat
 /// regardless of problem size.
@@ -879,24 +884,24 @@ impl GpuDevice {
         );
         let block_dim = cfg.block_dim as usize;
         let sample_every = sample_every(cfg);
+        let warp_size = self.spec.warp_size;
         let out_base = out.base_addr();
         let elem = std::mem::size_of::<T>();
 
         // Blocks execute concurrently on the host pool as disjoint output
-        // chunks; traces are collected positionally (by `block_idx`, never
+        // chunks; tallies are collected positionally (by `block_idx`, never
         // completion order), so `finish_launch` sees the same input as a
         // sequential run. The traced/untraced decision is hoisted out of
         // the per-thread loop: the ~(1 − 1/sample_every) of blocks that
         // are never sampled take a fast path with one reusable stateless
-        // gateway and no trace or store-note bookkeeping.
-        let block_traces: Vec<Vec<ThreadTrace>> = out
+        // gateway and no coalescer or store-note bookkeeping.
+        let tallies: Vec<BlockTally> = out
             .as_mut_slice()
             .par_chunks_mut(block_dim)
             .enumerate()
             .filter_map(|(block_idx, chunk)| {
                 if block_idx % sample_every == 0 {
-                    let mut traces = vec![ThreadTrace::default(); chunk.len()];
-                    for (t, slot) in chunk.iter_mut().enumerate() {
+                    Some(trace_block(warp_size, chunk.len(), |t, gm| {
                         let ctx = ThreadCtx {
                             block_idx: block_idx as u32,
                             thread_idx: t as u32,
@@ -904,12 +909,9 @@ impl GpuDevice {
                             grid_dim: cfg.grid_dim,
                         };
                         let tid = ctx.global_id();
-                        let mut gm = Gmem::traced(&mut traces[t]);
-                        let v = f(ctx, &mut gm);
+                        chunk[t] = f(ctx, gm);
                         gm.note_store(out_base + (tid * elem) as u64, elem as u32, cached_store);
-                        *slot = v;
-                    }
-                    Some(traces)
+                    }))
                 } else {
                     // Fast path: `note_store` is a no-op without a trace,
                     // so only the functional store remains.
@@ -928,7 +930,7 @@ impl GpuDevice {
             })
             .collect();
 
-        self.finish_launch(name, cfg, stream, block_traces, sample_every);
+        self.finish_launch(name, cfg, stream, &tallies);
     }
 
     /// Launches a side-effect kernel: every thread runs `f(ctx, gm)`;
@@ -968,26 +970,24 @@ impl GpuDevice {
         F: Fn(ThreadCtx, &mut Gmem<'_>) + Sync,
     {
         let sample_every = sample_every(cfg);
+        let warp_size = self.spec.warp_size;
         // Blocks run concurrently on the host pool; side effects go
         // through the lock-free `crate::atomic` cells, and the sampled
-        // traces are collected in block order (see `launch_map_inner` for
+        // tallies are collected in block order (see `launch_map_inner` for
         // the hoisted traced/untraced fast path).
-        let block_traces: Vec<Vec<ThreadTrace>> = (0..cfg.grid_dim as usize)
+        let tallies: Vec<BlockTally> = (0..cfg.grid_dim as usize)
             .into_par_iter()
             .filter_map(|block_idx| {
                 if block_idx % sample_every == 0 {
-                    let mut traces = vec![ThreadTrace::default(); cfg.block_dim as usize];
-                    for (t, trace) in traces.iter_mut().enumerate() {
+                    Some(trace_block(warp_size, cfg.block_dim as usize, |t, gm| {
                         let ctx = ThreadCtx {
                             block_idx: block_idx as u32,
                             thread_idx: t as u32,
                             block_dim: cfg.block_dim,
                             grid_dim: cfg.grid_dim,
                         };
-                        let mut gm = Gmem::traced(trace);
-                        f(ctx, &mut gm);
-                    }
-                    Some(traces)
+                        f(ctx, gm);
+                    }))
                 } else {
                     let mut gm = Gmem::untraced();
                     for t in 0..cfg.block_dim as usize {
@@ -1004,21 +1004,21 @@ impl GpuDevice {
             })
             .collect();
 
-        self.finish_launch(name, cfg, stream, block_traces, sample_every);
+        self.finish_launch(name, cfg, stream, &tallies);
     }
 
+    /// Folds the sampled blocks' tallies into the launch's statistics,
+    /// prices them, and appends the launch's op and record.
     fn finish_launch(
         &self,
         name: &str,
         cfg: LaunchConfig,
         stream: StreamId,
-        block_traces: Vec<Vec<ThreadTrace>>,
-        sample_every: usize,
+        tallies: &[BlockTally],
     ) {
-        let sampled_blocks = block_traces.len().max(1);
+        let sampled_blocks = tallies.len().max(1);
         let scale = cfg.grid_dim as f64 / sampled_blocks as f64;
-        let _ = sample_every;
-        let stats = aggregate(name, cfg, self.spec.warp_size, &block_traces, scale);
+        let stats = KernelStats::from_tallies(name, cfg, self.spec.warp_size, tallies, scale);
         let cost = kernel_cost(&self.spec, &stats);
         let mut st = self.state.lock();
         let id = st.ops.len();

@@ -5,12 +5,14 @@
 //! a CUDA-shaped API (`grid/block/thread`, device buffers, explicit
 //! host↔device transfers, streams, atomics) execute *functionally* on CPU
 //! threads, while a deterministic analytic cost model — fed by per-warp
-//! memory-access traces — produces the simulated device time.
+//! coalescing of the traced memory accesses — produces the simulated
+//! device time.
 //!
 //! The cost model is sensitive to exactly the properties the paper's
 //! optimisations manipulate:
 //!
-//! * **coalescing** — per-warp transaction counting ([`trace`]);
+//! * **coalescing** — per-warp transaction counting, streamed as the
+//!   sampled blocks run ([`trace`]);
 //! * **occupancy & latency chains** — Little's-law latency term
 //!   ([`cost`]), which penalises the under-occupied, serially-dependent
 //!   baseline loops;
@@ -32,6 +34,8 @@ pub mod gmem;
 pub mod launch;
 pub mod metrics;
 pub mod occupancy;
+#[cfg(test)]
+mod oracle;
 pub mod spec;
 pub mod timeline;
 pub mod trace;

@@ -1,19 +1,16 @@
-//! Aggregation of per-thread traces into kernel-level statistics.
+//! Kernel-level statistics folded from the sampled blocks' tallies.
 //!
-//! The executor samples a subset of blocks, traces every access those
-//! blocks make, and calls [`aggregate`] to turn the traces into a
-//! [`KernelStats`] — extrapolating by the sampling factor. `KernelStats`
+//! The executor samples a subset of blocks and streams every access those
+//! blocks make through the per-warp coalescer ([`crate::trace`]), which
+//! leaves one [`BlockTally`] per sampled block.
+//! [`KernelStats::from_tallies`] folds the tallies in block order into a
+//! [`KernelStats`], extrapolating by the sampling factor. `KernelStats`
 //! is the sole input (besides the [`crate::spec::DeviceSpec`]) to the cost
 //! model, so everything the simulator "believes" about a kernel is
 //! inspectable here.
 
-use std::collections::HashMap;
-
 use crate::launch::LaunchConfig;
-use crate::trace::{warp_transactions, AccessKind, ThreadTrace};
-
-/// Per-slot warp instruction: the kind (first seen) and lane addresses.
-type SlotAccesses = (Option<AccessKind>, Vec<(u64, u32)>);
+use crate::trace::BlockTally;
 
 /// Per-launch statistics, extrapolated from the sampled blocks.
 #[derive(Debug, Clone, Default)]
@@ -69,128 +66,86 @@ impl KernelStats {
         }
         (self.ops_per_thread / self.chain_len).clamp(1.0, MAX_MLP)
     }
-}
 
-/// Builds kernel statistics from the traces of the sampled blocks.
-///
-/// `block_traces` holds, for each sampled block, the traces of all its
-/// threads in thread order. `sample_scale = grid_dim / sampled_blocks`
-/// extrapolates sampled quantities to the full launch.
-pub fn aggregate(
-    name: &str,
-    cfg: LaunchConfig,
-    warp_size: u32,
-    block_traces: &[Vec<ThreadTrace>],
-    sample_scale: f64,
-) -> KernelStats {
-    let mut flops = 0u64;
-    let mut bytes = 0u64;
-    let mut txns = 0u64;
-    let mut mem_ops = 0u64;
-    let mut chain_sum = 0.0f64;
-    let mut sampled_threads = 0u64;
-    let mut sampled_warps = 0u64;
-    let mut atomic_ops = 0u64;
-    let mut atomic_hist: HashMap<u64, u64> = HashMap::new();
-
-    for traces in block_traces {
-        sampled_threads += traces.len() as u64;
-        for warp in traces.chunks(warp_size as usize) {
-            sampled_warps += 1;
-            // Group this warp's accesses by slot to form warp instructions.
-            let max_slot = warp
-                .iter()
-                .flat_map(|t| t.accesses.iter().map(|a| a.slot))
-                .max()
-                .map(|s| s as usize + 1)
-                .unwrap_or(0);
-            let mut per_slot: Vec<SlotAccesses> = vec![(None, Vec::new()); max_slot];
-            for t in warp {
-                flops += t.flops;
-                chain_sum += t.chain_len as f64;
-                for a in &t.accesses {
-                    match a.kind {
-                        // L2-resident traffic: no DRAM transactions and no
-                        // MSHR pressure.
-                        AccessKind::CachedRead | AccessKind::CachedWrite => continue,
-                        AccessKind::Atomic => {
-                            mem_ops += 1;
-                            atomic_ops += 1;
-                            *atomic_hist.entry(a.addr).or_insert(0) += 1;
-                        }
-                        _ => mem_ops += 1,
-                    }
-                    let slot = &mut per_slot[a.slot as usize];
-                    slot.0.get_or_insert(a.kind);
-                    slot.1.push((a.addr, a.bytes));
-                }
-            }
-            for (kind, addrs) in &per_slot {
-                if addrs.is_empty() {
-                    continue;
-                }
-                let policy = kind.unwrap_or(AccessKind::Read).policy();
-                let t = warp_transactions(addrs, 128, 32, policy);
-                txns += t.transactions;
-                bytes += t.bytes;
-            }
+    /// Builds kernel statistics from the tallies of the sampled blocks, in
+    /// block order. `sample_scale = grid_dim / sampled_blocks` extrapolates
+    /// sampled quantities to the full launch.
+    pub(crate) fn from_tallies(
+        name: &str,
+        cfg: LaunchConfig,
+        warp_size: u32,
+        tallies: &[BlockTally],
+        sample_scale: f64,
+    ) -> KernelStats {
+        let (mut flops, mut bytes, mut txns, mut mem_ops) = (0u64, 0u64, 0u64, 0u64);
+        let (mut chain_sum, mut sampled_threads, mut sampled_warps) = (0.0f64, 0u64, 0u64);
+        let mut atomic_addrs: Vec<u64> = Vec::new();
+        for t in tallies {
+            flops += t.flops;
+            bytes += t.bytes;
+            txns += t.transactions;
+            mem_ops += t.mem_ops;
+            chain_sum += t.chain_sum;
+            sampled_threads += t.threads;
+            sampled_warps += t.warps;
+            atomic_addrs.extend_from_slice(&t.atomic_addrs);
         }
-    }
+        atomic_addrs.sort_unstable();
+        let max_conflict = atomic_addrs
+            .chunk_by(|a, b| a == b)
+            .map(<[u64]>::len)
+            .max()
+            .unwrap_or(0);
+        let per_thread = |x: f64| {
+            if sampled_threads > 0 {
+                x / sampled_threads as f64
+            } else {
+                0.0
+            }
+        };
 
-    let max_conflict = atomic_hist.values().copied().max().unwrap_or(0);
-    let threads = cfg.total_threads();
-    let warps = cfg.total_warps(warp_size);
-    let ops_per_thread = if sampled_threads > 0 {
-        mem_ops as f64 / sampled_threads as f64
-    } else {
-        0.0
-    };
-    let chain_len = if sampled_threads > 0 {
-        chain_sum / sampled_threads as f64
-    } else {
-        0.0
-    };
-
-    KernelStats {
-        name: name.to_string(),
-        threads,
-        warps,
-        sampled_warps,
-        flops: flops as f64 * sample_scale,
-        dram_bytes: bytes as f64 * sample_scale,
-        transactions: txns as f64 * sample_scale,
-        mem_ops: mem_ops as f64 * sample_scale,
-        chain_len,
-        ops_per_thread,
-        atomic_ops: atomic_ops as f64 * sample_scale,
-        atomic_max_conflict: max_conflict as f64 * sample_scale,
-        block_dim: cfg.block_dim,
-        grid_dim: cfg.grid_dim,
-        shared_mem_bytes: cfg.shared_mem_bytes,
+        KernelStats {
+            name: name.to_string(),
+            threads: cfg.total_threads(),
+            warps: cfg.total_warps(warp_size),
+            sampled_warps,
+            flops: flops as f64 * sample_scale,
+            dram_bytes: bytes as f64 * sample_scale,
+            transactions: txns as f64 * sample_scale,
+            mem_ops: mem_ops as f64 * sample_scale,
+            chain_len: per_thread(chain_sum),
+            ops_per_thread: per_thread(mem_ops as f64),
+            atomic_ops: atomic_addrs.len() as f64 * sample_scale,
+            atomic_max_conflict: max_conflict as f64 * sample_scale,
+            block_dim: cfg.block_dim,
+            grid_dim: cfg.grid_dim,
+            shared_mem_bytes: cfg.shared_mem_bytes,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::AccessKind;
+    use crate::gmem::Gmem;
+    use crate::trace::{trace_block, AccessKind};
 
-    fn mk_trace(accesses: &[(u64, AccessKind)]) -> ThreadTrace {
-        let mut t = ThreadTrace::default();
-        for &(addr, kind) in accesses {
-            t.record(addr, 16, kind);
-        }
-        t
+    /// Streams one block whose thread `t` runs `thread(t, gm)` and folds
+    /// it (one warp of 32 lanes per 32 threads) into kernel statistics.
+    fn stats(cfg: LaunchConfig, scale: f64, thread: impl Fn(u64, &mut Gmem<'_>)) -> KernelStats {
+        let tally = trace_block(32, cfg.block_dim as usize, |t, gm| thread(t as u64, gm));
+        KernelStats::from_tallies("k", cfg, 32, &[tally], scale)
+    }
+
+    fn rec(gm: &mut Gmem<'_>, addr: u64, kind: AccessKind) {
+        gm.record(addr, 16, kind);
     }
 
     #[test]
     fn coalesced_block_counts_few_transactions() {
         // 32 threads each load element tid (16 B) — one warp, 4×128 B lines.
         let cfg = LaunchConfig::new(1, 32);
-        let traces: Vec<ThreadTrace> = (0..32)
-            .map(|i| mk_trace(&[(i as u64 * 16, AccessKind::Read)]))
-            .collect();
-        let s = aggregate("k", cfg, 32, &[traces], 1.0);
+        let s = stats(cfg, 1.0, |i, gm| rec(gm, i * 16, AccessKind::Read));
         assert_eq!(s.transactions as u64, 4);
         assert_eq!(s.dram_bytes as u64, 512);
         assert_eq!(s.mem_ops as u64, 32);
@@ -200,10 +155,7 @@ mod tests {
     #[test]
     fn scattered_default_path_fetches_full_lines() {
         let cfg = LaunchConfig::new(1, 32);
-        let traces: Vec<ThreadTrace> = (0..32)
-            .map(|i| mk_trace(&[(i as u64 * 100_000, AccessKind::Read)]))
-            .collect();
-        let s = aggregate("k", cfg, 32, &[traces], 1.0);
+        let s = stats(cfg, 1.0, |i, gm| rec(gm, i * 100_000, AccessKind::Read));
         assert_eq!(s.transactions as u64, 32);
         assert_eq!(s.dram_bytes as u64, 32 * 128, "default path: 128 B lines");
     }
@@ -211,10 +163,7 @@ mod tests {
     #[test]
     fn scattered_readonly_path_uses_segments() {
         let cfg = LaunchConfig::new(1, 32);
-        let traces: Vec<ThreadTrace> = (0..32)
-            .map(|i| mk_trace(&[(i as u64 * 100_000, AccessKind::ReadOnly)]))
-            .collect();
-        let s = aggregate("k", cfg, 32, &[traces], 1.0);
+        let s = stats(cfg, 1.0, |i, gm| rec(gm, i * 100_000, AccessKind::ReadOnly));
         assert_eq!(s.transactions as u64, 32);
         assert_eq!(s.dram_bytes as u64, 32 * 32, "__ldg path: 32 B segments");
     }
@@ -222,10 +171,7 @@ mod tests {
     #[test]
     fn cached_scratch_traffic_is_free() {
         let cfg = LaunchConfig::new(1, 32);
-        let traces: Vec<ThreadTrace> = (0..32)
-            .map(|i| mk_trace(&[(i as u64 * 16, AccessKind::CachedRead)]))
-            .collect();
-        let s = aggregate("k", cfg, 32, &[traces], 1.0);
+        let s = stats(cfg, 1.0, |i, gm| rec(gm, i * 16, AccessKind::CachedRead));
         assert_eq!(s.transactions as u64, 0);
         assert_eq!(s.dram_bytes as u64, 0);
         assert_eq!(s.mem_ops as u64, 0);
@@ -234,14 +180,10 @@ mod tests {
     #[test]
     fn sample_scale_extrapolates() {
         let cfg = LaunchConfig::new(10, 32); // 10 blocks, 1 sampled
-        let traces: Vec<ThreadTrace> = (0..32)
-            .map(|i| {
-                let mut t = mk_trace(&[(i as u64 * 16, AccessKind::Read)]);
-                t.add_flops(10);
-                t
-            })
-            .collect();
-        let s = aggregate("k", cfg, 32, &[traces], 10.0);
+        let s = stats(cfg, 10.0, |i, gm| {
+            rec(gm, i * 16, AccessKind::Read);
+            gm.flops(10);
+        });
         assert_eq!(s.flops as u64, 3200);
         assert_eq!(s.transactions as u64, 40);
         assert_eq!(s.threads, 320);
@@ -253,17 +195,12 @@ mod tests {
     fn atomic_conflicts_tracked() {
         let cfg = LaunchConfig::new(1, 32);
         // All 32 threads hit the same atomic address; 16 hit another.
-        let traces: Vec<ThreadTrace> = (0..32)
-            .map(|i| {
-                let mut t = ThreadTrace::default();
-                t.record(0, 4, AccessKind::Atomic);
-                if i < 16 {
-                    t.record(64, 4, AccessKind::Atomic);
-                }
-                t
-            })
-            .collect();
-        let s = aggregate("k", cfg, 32, &[traces], 1.0);
+        let s = stats(cfg, 1.0, |i, gm| {
+            gm.record(0, 4, AccessKind::Atomic);
+            if i < 16 {
+                gm.record(64, 4, AccessKind::Atomic);
+            }
+        });
         assert_eq!(s.atomic_ops as u64, 48);
         assert_eq!(s.atomic_max_conflict as u64, 32);
     }
@@ -271,16 +208,11 @@ mod tests {
     #[test]
     fn chain_length_reduces_mlp() {
         let cfg = LaunchConfig::new(1, 32);
-        let traces: Vec<ThreadTrace> = (0..32)
-            .map(|_| {
-                let mut t = ThreadTrace::default();
-                for j in 0..8u64 {
-                    t.record(j * 4096, 16, AccessKind::ReadDependent);
-                }
-                t
-            })
-            .collect();
-        let s = aggregate("k", cfg, 32, &[traces], 1.0);
+        let s = stats(cfg, 1.0, |_, gm| {
+            for j in 0..8u64 {
+                rec(gm, j * 4096, AccessKind::ReadDependent);
+            }
+        });
         assert!((s.chain_len - 8.0).abs() < 1e-9);
         assert!((s.mlp() - 1.0).abs() < 1e-9, "fully chained → mlp 1");
     }
@@ -288,23 +220,18 @@ mod tests {
     #[test]
     fn independent_ops_raise_mlp() {
         let cfg = LaunchConfig::new(1, 32);
-        let traces: Vec<ThreadTrace> = (0..32)
-            .map(|_| {
-                let mut t = ThreadTrace::default();
-                for j in 0..8u64 {
-                    t.record(j * 4096, 16, AccessKind::Read);
-                }
-                t
-            })
-            .collect();
-        let s = aggregate("k", cfg, 32, &[traces], 1.0);
+        let s = stats(cfg, 1.0, |_, gm| {
+            for j in 0..8u64 {
+                rec(gm, j * 4096, AccessKind::Read);
+            }
+        });
         assert!((s.mlp() - 8.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_traces_are_safe() {
         let cfg = LaunchConfig::new(1, 32);
-        let s = aggregate("k", cfg, 32, &[], 1.0);
+        let s = KernelStats::from_tallies("k", cfg, 32, &[], 1.0);
         assert_eq!(s.transactions, 0.0);
         assert_eq!(s.mlp(), 1.0);
     }

@@ -122,6 +122,27 @@ fn kernel_stats_and_timeline_identical_across_pool_sizes() {
     }
 }
 
+#[test]
+fn benchmark_geometry_identical_across_pool_sizes() {
+    // The perfbench pipeline-direct point (n = 2^16, k = 32). Here
+    // `cutoff_select` selects buckets in several blocks at once, so a
+    // store slot that depended on which host thread won the atomic cursor
+    // would move its transactions with the pool width.
+    let reference = with_pool(1, || run_once(Variant::Optimized, 16, 32, 7));
+    assert!(reference.records.iter().any(|r| r.contains("cutoff_select")));
+    for threads in POOL_SIZES {
+        let run = with_pool(threads, || run_once(Variant::Optimized, 16, 32, 7));
+        assert_eq!(
+            run.records, reference.records,
+            "per-kernel KernelStats must not depend on pool width ({threads})"
+        );
+        assert_eq!(
+            run.ops, reference.ops,
+            "op timeline must not depend on pool width ({threads})"
+        );
+    }
+}
+
 /// A small mixed-geometry batch for the serving-layer check.
 fn batch() -> Vec<ServeRequest> {
     let geometries = [(1usize << 10, 4), (1usize << 11, 8), (1usize << 10, 4)];
