@@ -34,7 +34,7 @@ fn bench_fig5(c: &mut Criterion) {
         let opt_plan =
             CusFft::new(Arc::new(GpuDevice::k20x()), params.clone(), Variant::Optimized);
         let dev = GpuDevice::k20x();
-        let _ = cufft_dense_baseline(&dev, &s.time, DEFAULT_STREAM);
+        cufft_dense_baseline(&dev, &s.time, DEFAULT_STREAM).expect("fault-free device");
         println!(
             "[sim] n=2^{log2n}: cusFFT-base {:.3} ms, cusFFT-opt {:.3} ms, cuFFT {:.3} ms",
             base_plan.execute(&s.time, 1).sim_time * 1e3,

@@ -50,7 +50,8 @@ fn bench_perm_filter(c: &mut Criterion) {
     .expect("fault-free device");
     let t_async = device.elapsed();
     device.reset_clock();
-    let _ = perm_filter_atomic(&device, &signal_buf, &taps_buf, w, b, &perm, DEFAULT_STREAM);
+    perm_filter_atomic(&device, &signal_buf, &taps_buf, w, b, &perm, DEFAULT_STREAM)
+        .expect("fault-free device");
     let t_atomic = device.elapsed();
     println!(
         "[sim] n=2^16: partition {:.1} us, async {:.1} us, atomic {:.1} us",
@@ -86,6 +87,7 @@ fn bench_perm_filter(c: &mut Criterion) {
         bch.iter(|| {
             device.reset_clock();
             perm_filter_atomic(&device, &signal_buf, &taps_buf, w, b, &perm, DEFAULT_STREAM)
+                .expect("fault-free device")
         })
     });
     group.finish();

@@ -46,7 +46,24 @@
 use std::path::PathBuf;
 
 use bench::{fmt_ratio, fmt_secs, Table};
+use cusfft_telemetry::json::{self, JsonValue};
 use gpu_sim::{CpuSpec, DeviceSpec};
+
+/// Every target, in `--help` order. `all` runs the targets before
+/// `backends`; the rest run only when named.
+#[rustfmt::skip]
+const TARGETS: &[&str] = &[
+    "table1", "table2", "fig1", "fig2a", "fig2b", "fig2gpu", "fig5a", "fig5b", "fig5c", "fig5d",
+    "fig5e", "fig5f", "ablation", "noise", "devices", "comb", "serve", "backends", "hostperf",
+    "overload", "trace", "throughput", "fleet", "chaos", "explain", "check-regression", "all",
+];
+
+fn usage() -> String {
+    format!(
+        "targets: {}\nflags:   --full (paper-scale sweep)  --smoke (tiny CI sizes)  --k K  --out DIR  --baseline DIR",
+        TARGETS.join(" ")
+    )
+}
 
 struct Opts {
     target: String,
@@ -81,12 +98,15 @@ fn parse_args() -> Opts {
             }
             "--out" => out = PathBuf::from(args.next().expect("--out needs a path")),
             "--help" | "-h" => {
-                println!("targets: table1 table2 fig1 fig2a fig2b fig2gpu fig5a fig5b fig5c fig5d fig5e fig5f ablation noise devices comb serve backends hostperf overload trace throughput fleet chaos explain check-regression all");
-                println!("flags:   --full (paper-scale sweep)  --smoke (tiny CI sizes)  --k K  --out DIR  --baseline DIR");
+                println!("{}", usage());
                 std::process::exit(0);
             }
             t => target = t.to_string(),
         }
+    }
+    if !TARGETS.contains(&target.as_str()) {
+        eprintln!("unknown target '{target}'\n{}", usage());
+        std::process::exit(2);
     }
     Opts {
         target,
@@ -350,6 +370,16 @@ fn check_regression(opts: &Opts) {
     println!("all {} baseline file(s) within tolerance", names.len());
 }
 
+/// Writes `doc` to `name` under `--out` in the one JSON layout.
+fn write_json(opts: &Opts, name: &str, doc: &JsonValue) {
+    let _ = std::fs::create_dir_all(&opts.out);
+    let path = opts.out.join(name);
+    match std::fs::write(&path, json::write(doc)) {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
+}
+
 /// Extension: deterministic chaos exploration — every schedule in the
 /// smoke/full space runs serve/journal/fleet end-to-end under its fault
 /// seed, rate vector, injected host-crash epoch and device loss; the
@@ -387,57 +417,48 @@ fn chaos(opts: &Opts) {
     print!("{}", t.render());
     let _ = t.write_csv(&opts.out, "chaos");
 
-    // Hand-rolled JSON (no serde_json in the vendored set).
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"space\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    json.push_str(&format!("  \"explored\": {},\n", sweep.explored));
-    json.push_str(&format!(
-        "  \"invariants_checked\": {},\n",
-        sweep.invariants_checked
-    ));
-    json.push_str(&format!("  \"violations\": {},\n", sweep.violations.len()));
-    json.push_str(&format!(
-        "  \"recovery\": {{\"crash_runs\": {}, \"mean_overhead\": {:.6}, \"max_overhead\": {:.6}}},\n",
-        sweep.crash_runs, sweep.mean_recovery_overhead, sweep.max_recovery_overhead
-    ));
-    json.push_str("  \"minimal_failing_schedules\": [\n");
-    for (i, (labels, schedule)) in sweep.violations.iter().enumerate() {
-        let labels_json: Vec<String> = labels.iter().map(|l| format!("\"{l}\"")).collect();
-        json.push_str(&format!(
-            "    {{\"invariants\": [{}], \"schedule\": {}}}{}\n",
-            labels_json.join(", "),
-            schedule,
-            if i + 1 < sweep.violations.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let _ = std::fs::create_dir_all(&opts.out);
-    let path = opts.out.join("BENCH_chaos.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    // `ChaosSchedule::to_json` always emits valid JSON.
+    let schedule = |s: &str| json::parse(s).expect("schedule JSON parses");
+    let doc = JsonValue::object([
+        ("space", if smoke { "smoke" } else { "full" }.into()),
+        ("explored", sweep.explored.into()),
+        ("invariants_checked", sweep.invariants_checked.into()),
+        ("violations", sweep.violations.len().into()),
+        (
+            "recovery",
+            JsonValue::object([
+                ("crash_runs", sweep.crash_runs.into()),
+                ("mean_overhead", sweep.mean_recovery_overhead.into()),
+                ("max_overhead", sweep.max_recovery_overhead.into()),
+            ]),
+        ),
+        (
+            "minimal_failing_schedules",
+            sweep
+                .violations
+                .iter()
+                .map(|(labels, s)| {
+                    JsonValue::object([
+                        (
+                            "invariants",
+                            labels.iter().map(|l| l.as_str().into()).collect(),
+                        ),
+                        ("schedule", schedule(s)),
+                    ])
+                })
+                .collect(),
+        ),
+    ]);
+    write_json(opts, "BENCH_chaos.json", &doc);
 
     // Violations also land in a dedicated replay artifact CI uploads.
     if !sweep.violations.is_empty() {
-        let mut artifact = String::from("[\n");
-        for (i, (_, schedule)) in sweep.violations.iter().enumerate() {
-            artifact.push_str(&format!(
-                "  {}{}\n",
-                schedule,
-                if i + 1 < sweep.violations.len() { "," } else { "" }
-            ));
-        }
-        artifact.push_str("]\n");
-        let path = opts.out.join("chaos_minimal.json");
-        let _ = std::fs::write(&path, artifact);
+        let replay: JsonValue = sweep.violations.iter().map(|(_, s)| schedule(s)).collect();
+        write_json(opts, "chaos_minimal.json", &replay);
         eprintln!(
             "INVARIANT VIOLATIONS: {} minimal schedule(s) written to {}",
             sweep.violations.len(),
-            path.display()
+            opts.out.join("chaos_minimal.json").display()
         );
         std::process::exit(1);
     }
@@ -493,44 +514,55 @@ fn fleet(opts: &Opts, seed: u64) {
         0.0
     };
 
-    // Hand-rolled JSON (no serde_json in the vendored set).
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!(
-        "  \"config\": {{\"log2_n\": {log2_n}, \"k\": {k}, \"batch\": {batch}}},\n"
-    ));
-    json.push_str("  \"points\": [\n");
-    for (i, p) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"members\": {}, \"requests\": {}, \"completed\": {}, \"makespan_ms\": {:.3}, \"throughput\": {:.3}, \"device_losses\": {}, \"failovers\": {}, \"standby_acquires\": {}, \"cpu_served_groups\": {}, \"brownout_groups\": {}, \"drains\": {}}}{}\n",
-            p.scenario,
-            p.members,
-            p.requests,
-            p.completed,
-            p.makespan * 1e3,
-            p.throughput,
-            p.device_losses,
-            p.failovers,
-            p.standby_acquires,
-            p.cpu_served_groups,
-            p.brownout_groups,
-            p.drains,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"served_through_failure\": {{\"fleet_throughput\": {:.3}, \"degraded_single_throughput\": {:.3}, \"ratio\": {ratio:.3}}}\n",
-        find("hetero-loss").map(|p| p.throughput).unwrap_or(0.0),
-        find("single-loss").map(|p| p.throughput).unwrap_or(0.0),
-    ));
-    json.push_str("}\n");
-    let _ = std::fs::create_dir_all(&opts.out);
-    let path = opts.out.join("BENCH_fleet.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let doc = JsonValue::object([
+        ("seed", seed.into()),
+        ("config", config_json(log2_n, k, batch)),
+        (
+            "points",
+            rows.iter()
+                .map(|p| {
+                    JsonValue::object([
+                        ("scenario", p.scenario.into()),
+                        ("members", p.members.into()),
+                        ("requests", p.requests.into()),
+                        ("completed", p.completed.into()),
+                        ("makespan_ms", (p.makespan * 1e3).into()),
+                        ("throughput", p.throughput.into()),
+                        ("device_losses", p.device_losses.into()),
+                        ("failovers", p.failovers.into()),
+                        ("standby_acquires", p.standby_acquires.into()),
+                        ("cpu_served_groups", p.cpu_served_groups.into()),
+                        ("brownout_groups", p.brownout_groups.into()),
+                        ("drains", p.drains.into()),
+                    ])
+                })
+                .collect(),
+        ),
+        (
+            "served_through_failure",
+            JsonValue::object([
+                (
+                    "fleet_throughput",
+                    find("hetero-loss").map_or(0.0, |p| p.throughput).into(),
+                ),
+                (
+                    "degraded_single_throughput",
+                    find("single-loss").map_or(0.0, |p| p.throughput).into(),
+                ),
+                ("ratio", ratio.into()),
+            ]),
+        ),
+    ]);
+    write_json(opts, "BENCH_fleet.json", &doc);
+}
+
+/// The `config` member of the serving BENCH files.
+fn config_json(log2_n: u32, k: usize, batch: usize) -> JsonValue {
+    JsonValue::object([
+        ("log2_n", log2_n.into()),
+        ("k", k.into()),
+        ("batch", batch.into()),
+    ])
 }
 
 /// Extension: allocation-free steady-state serving — the same batch
@@ -581,36 +613,30 @@ fn throughput(opts: &Opts, seed: u64) {
         );
     }
 
-    // Hand-rolled JSON (no serde_json in the vendored set).
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!(
-        "  \"config\": {{\"log2_n\": {log2_n}, \"k\": {k}, \"batch\": {batch}}},\n"
-    ));
-    json.push_str("  \"points\": [\n");
-    for (i, p) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"remap\": \"{}\", \"requests\": {}, \"makespan_ms\": {:.3}, \"throughput\": {:.3}, \"perm_step_transactions\": {:.0}, \"total_transactions\": {:.0}, \"pool_alloc_ops\": {}, \"pool_release_ops\": {}, \"arena_reuse_hits\": {}, \"arena_fresh_misses\": {}}}{}\n",
-            p.remap,
-            p.requests,
-            p.makespan * 1e3,
-            p.throughput,
-            p.perm_txns,
-            p.total_txns,
-            p.pool_alloc_ops,
-            p.pool_release_ops,
-            p.arena_reuse_hits,
-            p.arena_fresh_misses,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let _ = std::fs::create_dir_all(&opts.out);
-    let path = opts.out.join("BENCH_serve_throughput.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let doc = JsonValue::object([
+        ("seed", seed.into()),
+        ("config", config_json(log2_n, k, batch)),
+        (
+            "points",
+            rows.iter()
+                .map(|p| {
+                    JsonValue::object([
+                        ("remap", p.remap.into()),
+                        ("requests", p.requests.into()),
+                        ("makespan_ms", (p.makespan * 1e3).into()),
+                        ("throughput", p.throughput.into()),
+                        ("perm_step_transactions", p.perm_txns.into()),
+                        ("total_transactions", p.total_txns.into()),
+                        ("pool_alloc_ops", p.pool_alloc_ops.into()),
+                        ("pool_release_ops", p.pool_release_ops.into()),
+                        ("arena_reuse_hits", p.arena_reuse_hits.into()),
+                        ("arena_fresh_misses", p.arena_fresh_misses.into()),
+                    ])
+                })
+                .collect(),
+        ),
+    ]);
+    write_json(opts, "BENCH_serve_throughput.json", &doc);
 }
 
 /// Extension: pluggable execution backends — the same batch served
@@ -646,33 +672,29 @@ fn backends(opts: &Opts, seed: u64) {
     print!("{}", t.render());
     let _ = t.write_csv(&opts.out, "backends");
 
-    // Hand-rolled JSON (no serde_json in the vendored set).
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str("  \"points\": [\n");
-    for (i, p) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"uses_device\": {}, \"batched_ffts\": {}, \"oracle_bound\": {:.1e}, \"requests\": {}, \"groups\": {}, \"makespan_ms\": {:.3}, \"est_service_ms\": {:.3}, \"l1_vs_oracle\": {:.6e}, \"oracle_recall\": {:.4}}}{}\n",
-            p.backend.label(),
-            p.caps.uses_device,
-            p.caps.batched_ffts,
-            p.caps.oracle_bound,
-            p.requests,
-            p.groups,
-            p.makespan * 1e3,
-            p.est_service * 1e3,
-            p.l1_vs_oracle,
-            p.oracle_recall,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let _ = std::fs::create_dir_all(&opts.out);
-    let path = opts.out.join("BENCH_backends.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let doc = JsonValue::object([
+        ("seed", seed.into()),
+        (
+            "points",
+            rows.iter()
+                .map(|p| {
+                    JsonValue::object([
+                        ("backend", p.backend.label().into()),
+                        ("uses_device", p.caps.uses_device.into()),
+                        ("batched_ffts", p.caps.batched_ffts.into()),
+                        ("oracle_bound", p.caps.oracle_bound.into()),
+                        ("requests", p.requests.into()),
+                        ("groups", p.groups.into()),
+                        ("makespan_ms", (p.makespan * 1e3).into()),
+                        ("est_service_ms", (p.est_service * 1e3).into()),
+                        ("l1_vs_oracle", p.l1_vs_oracle.into()),
+                        ("oracle_recall", p.oracle_recall.into()),
+                    ])
+                })
+                .collect(),
+        ),
+    ]);
+    write_json(opts, "BENCH_backends.json", &doc);
 }
 
 /// Extension: unified telemetry — serves the flaky-device overload
@@ -760,58 +782,59 @@ fn overload(opts: &Opts, seed: u64) {
         fmt_ratio(breaker_tp / retry_tp)
     );
 
-    // Hand-rolled JSON (no serde_json in the vendored set).
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!(
-        "  \"breaker_vs_retry\": {{\"breaker_throughput\": {breaker_tp:.3}, \"retry_throughput\": {retry_tp:.3}, \"speedup\": {:.3}}},\n",
-        breaker_tp / retry_tp
-    ));
-    json.push_str("  \"points\": [\n");
-    for (i, p) in rows.iter().enumerate() {
-        // Deterministic per-(path, QoS) latency summary from the
-        // telemetry histograms (quantiles are bucket upper bounds).
-        let classes: Vec<String> = p
-            .path_latency
-            .iter()
-            .map(|pl| {
-                format!(
-                    "{{\"path\": \"{}\", \"qos\": \"{}\", \"count\": {}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}}}",
-                    pl.path.label(),
-                    pl.qos.label(),
-                    pl.count,
-                    pl.p50 * 1e3,
-                    pl.p95 * 1e3,
-                    pl.p99 * 1e3,
-                )
-            })
-            .collect();
-        json.push_str(&format!(
-            "    {{\"offered_load\": {:.2}, \"requests\": {}, \"shed_rate\": {:.4}, \"deadline_miss_rate\": {:.4}, \"degraded\": {}, \"hedges\": {}, \"hedge_wins\": {}, \"breaker_trips\": {}, \"breaker_short_circuits\": {}, \"sdc_detected\": {}, \"latency_p50_ms\": {:.3}, \"latency_p99_ms\": {:.3}, \"throughput\": {:.3}, \"path_latency\": [{}]}}{}\n",
-            p.offered_load,
-            p.requests,
-            p.shed_rate,
-            p.deadline_miss_rate,
-            p.degraded,
-            p.hedges,
-            p.hedge_wins,
-            p.breaker_trips,
-            p.breaker_short_circuits,
-            p.sdc_detected,
-            p.latency_p50 * 1e3,
-            p.latency_p99 * 1e3,
-            p.throughput,
-            classes.join(", "),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let _ = std::fs::create_dir_all(&opts.out);
-    let path = opts.out.join("BENCH_serve_overload.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let doc = JsonValue::object([
+        ("seed", seed.into()),
+        (
+            "breaker_vs_retry",
+            JsonValue::object([
+                ("breaker_throughput", breaker_tp.into()),
+                ("retry_throughput", retry_tp.into()),
+                ("speedup", (breaker_tp / retry_tp).into()),
+            ]),
+        ),
+        (
+            "points",
+            rows.iter()
+                .map(|p| {
+                    JsonValue::object([
+                        ("offered_load", p.offered_load.into()),
+                        ("requests", p.requests.into()),
+                        ("shed_rate", p.shed_rate.into()),
+                        ("deadline_miss_rate", p.deadline_miss_rate.into()),
+                        ("degraded", p.degraded.into()),
+                        ("hedges", p.hedges.into()),
+                        ("hedge_wins", p.hedge_wins.into()),
+                        ("breaker_trips", p.breaker_trips.into()),
+                        ("breaker_short_circuits", p.breaker_short_circuits.into()),
+                        ("sdc_detected", p.sdc_detected.into()),
+                        ("latency_p50_ms", (p.latency_p50 * 1e3).into()),
+                        ("latency_p99_ms", (p.latency_p99 * 1e3).into()),
+                        ("throughput", p.throughput.into()),
+                        // Deterministic per-(path, QoS) latency summary from
+                        // the telemetry histograms (quantiles are bucket
+                        // upper bounds).
+                        (
+                            "path_latency",
+                            p.path_latency
+                                .iter()
+                                .map(|pl| {
+                                    JsonValue::object([
+                                        ("path", pl.path.label().into()),
+                                        ("qos", pl.qos.label().into()),
+                                        ("count", pl.count.into()),
+                                        ("p50_ms", (pl.p50 * 1e3).into()),
+                                        ("p95_ms", (pl.p95 * 1e3).into()),
+                                        ("p99_ms", (pl.p99 * 1e3).into()),
+                                    ])
+                                })
+                                .collect(),
+                        ),
+                    ])
+                })
+                .collect(),
+        ),
+    ]);
+    write_json(opts, "BENCH_serve_overload.json", &doc);
 }
 
 /// Extension: host execution engine — wall-clock speedup of the
@@ -853,32 +876,29 @@ fn hostperf(opts: &Opts, seed: u64) {
     print!("{}", t.render());
     let _ = t.write_csv(&opts.out, "hostperf");
 
-    // Hand-rolled JSON (no serde_json in the vendored set).
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"host_logical_cpus\": {host_cpus},\n"));
-    json.push_str(
-        "  \"note\": \"wall times are best-of-reps host seconds; speedup ~1x is expected on single-core hosts (pool falls back to the inline sequential path)\",\n",
-    );
-    json.push_str("  \"points\": [\n");
-    for (i, p) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"pool_threads\": {}, \"n\": {}, \"k\": {}, \"wall_ms_sequential\": {:.3}, \"wall_ms_parallel\": {:.3}, \"speedup\": {:.3}}}{}\n",
-            p.pool_threads,
-            1u64 << p.log2_n,
-            p.k,
-            p.wall_sequential * 1e3,
-            p.wall_parallel * 1e3,
-            p.speedup(),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let _ = std::fs::create_dir_all(&opts.out);
-    let path = opts.out.join("BENCH_host_parallel.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    let doc = JsonValue::object([
+        ("host_logical_cpus", host_cpus.into()),
+        (
+            "note",
+            "wall times are best-of-reps host seconds; speedup ~1x is expected on single-core hosts (pool falls back to the inline sequential path)".into(),
+        ),
+        (
+            "points",
+            rows.iter()
+                .map(|p| {
+                    JsonValue::object([
+                        ("pool_threads", p.pool_threads.into()),
+                        ("n", (1u64 << p.log2_n).into()),
+                        ("k", p.k.into()),
+                        ("wall_ms_sequential", (p.wall_sequential * 1e3).into()),
+                        ("wall_ms_parallel", (p.wall_parallel * 1e3).into()),
+                        ("speedup", p.speedup().into()),
+                    ])
+                })
+                .collect(),
+        ),
+    ]);
+    write_json(opts, "BENCH_host_parallel.json", &doc);
 }
 
 /// Extension: the serving layer — plan-cache hit rates and merged

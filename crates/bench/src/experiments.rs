@@ -76,7 +76,7 @@ pub fn runtime_point(log2_n: u32, k: usize, seed: u64) -> RuntimePoint {
 
     // GPU dense (cuFFT).
     let dev_c = GpuDevice::new(DeviceSpec::tesla_k20x());
-    let _ = cufft_dense_baseline(&dev_c, &s.time, DEFAULT_STREAM);
+    cufft_dense_baseline(&dev_c, &s.time, DEFAULT_STREAM).expect("fault-free device");
     let cufft = dev_c.elapsed();
 
     // CPU sparse (PsFFT) — wall clock.
@@ -196,7 +196,8 @@ pub fn filter_ablation(log2_n: u32, k: usize, seed: u64) -> FilterAblation {
     let perm = Permutation::new((1001 % n) | 1, 0, n);
 
     device.reset_clock();
-    let _ = perm_filter_atomic(&device, &signal, &taps_buf, w, b, &perm, DEFAULT_STREAM);
+    perm_filter_atomic(&device, &signal, &taps_buf, w, b, &perm, DEFAULT_STREAM)
+        .expect("fault-free device");
     let atomic = device.elapsed();
 
     device.reset_clock();

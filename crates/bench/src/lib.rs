@@ -30,7 +30,7 @@ pub use experiments::{
     SelectionAblation, ServePoint, ThroughputPoint,
 };
 pub use audit::{audit_artifacts, audit_exports, AuditArtifacts};
-pub use regress::{check_file, parse_json, Json};
+pub use regress::check_file;
 pub use table::{fmt_ratio, fmt_secs, Table};
 pub use telemetry::{telemetry_artifacts, TelemetryArtifacts};
 pub use viz::{render_chart, Series};

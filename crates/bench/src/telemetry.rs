@@ -6,7 +6,7 @@
 //! any worker count and host-pool width.
 
 use cusfft::observe;
-use cusfft_telemetry::fmt_f64;
+use cusfft_telemetry::json::{self, JsonValue};
 use gpu_sim::DeviceSpec;
 
 /// The rendered artifacts plus the report they came from.
@@ -71,55 +71,76 @@ pub fn telemetry_artifacts(
         }
     }
 
-    // Hand-rolled JSON (no serde_json in the vendored set).
-    let mut json = String::from("{\n");
-    json.push_str("  \"experiment\": \"telemetry\",\n");
     // `workers` is deliberately absent from the profile: the summary,
     // like the trace and the exposition, is byte-identical across worker
     // counts, and recording one would belie that.
-    json.push_str(&format!(
-        "  \"profile\": {{\"n\": {}, \"k\": {k}, \"batch\": {batch}, \"seed\": {seed}, \"offered_load\": 2.0}},\n",
-        1u64 << log2_n
-    ));
-    json.push_str(&format!(
-        "  \"trace\": {{\"events\": {}, \"tracks\": {}, \"bytes\": {}}},\n",
-        summary.events,
-        summary.tracks,
-        trace_json.len()
-    ));
-    json.push_str(&format!(
-        "  \"spans\": {{\"total\": {}, \"timeline_ops\": {}}},\n",
-        tree.spans.len(),
-        report.timeline.ops.len()
-    ));
-    json.push_str(&format!(
-        "  \"outcomes\": {{\"done\": {done}, \"failed\": {failed}, \"shed\": {}, \"deadline_exceeded\": {}}},\n",
-        report.overload.shed, report.overload.deadline_exceeded
-    ));
-    json.push_str("  \"path_latency\": [\n");
-    for (i, pl) in report.path_latency.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"path\": \"{}\", \"qos\": \"{}\", \"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}{}\n",
-            pl.path.label(),
-            pl.qos.label(),
-            pl.count,
-            fmt_f64(pl.p50),
-            fmt_f64(pl.p95),
-            fmt_f64(pl.p99),
-            if i + 1 < report.path_latency.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"metrics\": ");
-    // The registry snapshot is itself a JSON object; embed it verbatim.
-    json.push_str(registry.to_json().trim_end());
-    json.push_str("\n}\n");
+    let summary_doc = JsonValue::object([
+        ("experiment", "telemetry".into()),
+        (
+            "profile",
+            JsonValue::object([
+                ("n", (1u64 << log2_n).into()),
+                ("k", k.into()),
+                ("batch", batch.into()),
+                ("seed", seed.into()),
+                ("offered_load", 2.0.into()),
+            ]),
+        ),
+        (
+            "trace",
+            JsonValue::object([
+                ("events", summary.events.into()),
+                ("tracks", summary.tracks.into()),
+                ("bytes", trace_json.len().into()),
+            ]),
+        ),
+        (
+            "spans",
+            JsonValue::object([
+                ("total", tree.spans.len().into()),
+                ("timeline_ops", report.timeline.ops.len().into()),
+            ]),
+        ),
+        (
+            "outcomes",
+            JsonValue::object([
+                ("done", done.into()),
+                ("failed", failed.into()),
+                ("shed", report.overload.shed.into()),
+                (
+                    "deadline_exceeded",
+                    report.overload.deadline_exceeded.into(),
+                ),
+            ]),
+        ),
+        (
+            "path_latency",
+            report
+                .path_latency
+                .iter()
+                .map(|pl| {
+                    JsonValue::object([
+                        ("path", pl.path.label().into()),
+                        ("qos", pl.qos.label().into()),
+                        ("count", pl.count.into()),
+                        ("p50", pl.p50.into()),
+                        ("p95", pl.p95.into()),
+                        ("p99", pl.p99.into()),
+                    ])
+                })
+                .collect(),
+        ),
+        (
+            "metrics",
+            json::parse(&registry.to_json()).expect("the registry snapshot is valid JSON"),
+        ),
+    ]);
 
     TelemetryArtifacts {
         report,
         trace_json,
         metrics_prom,
-        summary_json: json,
+        summary_json: json::write(&summary_doc),
         spans: tree.spans.len(),
         trace_events: summary.events,
         trace_tracks: summary.tracks,

@@ -11,7 +11,7 @@
 //!    serve worker counts {1, 2, 4} and host pool widths {1, 8}, at
 //!    whatever fault seed `CUSFFT_FAULT_SEED` selects (CI sweeps 7).
 //! 3. **Well-formedness** — the emitted trace passes the Trace Event
-//!    schema validator and the hand-rolled summary JSON parses.
+//!    schema validator and the summary JSON parses.
 
 use bench::{telemetry_artifacts, TelemetryArtifacts};
 use cusfft_telemetry::{parse_json, validate_chrome_trace};

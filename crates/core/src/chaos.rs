@@ -945,6 +945,16 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_replay_input_fails_typed() {
+        // Replay files come from outside the program; deep nesting must
+        // be a typed error, not a stack overflow.
+        assert!(matches!(
+            ChaosSchedule::from_json(&"[".repeat(100_000)),
+            Err(CusFftError::BadConfig { .. })
+        ));
+    }
+
+    #[test]
     fn space_enumeration_is_deterministic_and_large_enough() {
         let a = chaos_space(true);
         let b = chaos_space(true);

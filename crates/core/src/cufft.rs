@@ -78,15 +78,24 @@ pub fn batched_fft_rows(
 /// pipeline, cuFFT must ship `n` coefficients back.
 ///
 /// Returns the spectrum; the elapsed simulated time is on the device
-/// clock (caller brackets with `reset_clock` / `elapsed`).
-pub fn cufft_dense_baseline(device: &GpuDevice, time: &[Cplx], stream: StreamId) -> Vec<Cplx> {
+/// clock (caller brackets with `reset_clock` / `elapsed`). Fails with a
+/// typed device error on an injected launch or transfer fault.
+pub fn cufft_dense_baseline(
+    device: &GpuDevice,
+    time: &[Cplx],
+    stream: StreamId,
+) -> Result<Vec<Cplx>, GpuError> {
     let mut data = time.to_vec();
     // Functional transform on the host (parallel, it is the big one).
     ParallelPlan::new(time.len()).process(&mut data, Direction::Forward);
-    device.charge_device_op("cufft_dense", cufft_model_time(device, time.len(), 1), stream);
+    device.try_charge_device_op(
+        "cufft_dense",
+        cufft_model_time(device, time.len(), 1),
+        stream,
+    )?;
     // Charge the output transfer explicitly.
     let out_buf = DeviceBuffer::from_host(&data);
-    device.dtoh(&out_buf, stream)
+    device.try_dtoh(&out_buf, stream)
 }
 
 #[cfg(test)]
@@ -158,7 +167,7 @@ mod tests {
         let x: Vec<Cplx> = (0..n)
             .map(|i| Cplx::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos()))
             .collect();
-        let got = cufft_dense_baseline(&dev, &x, DEFAULT_STREAM);
+        let got = cufft_dense_baseline(&dev, &x, DEFAULT_STREAM).expect("fault-free device");
         let expect = Plan::new(n).transform(&x, Direction::Forward);
         for (a, b) in got.iter().zip(&expect) {
             assert!(a.dist(*b) < 1e-8);

@@ -56,7 +56,8 @@ pub fn tap_source_index(i: usize, half: usize, perm: &Permutation) -> usize {
     (perm.tau + mul_mod(t, perm.ai, n)) % n
 }
 
-/// Strawman: per-tap threads with atomic bucket updates.
+/// Strawman: per-tap threads with atomic bucket updates. Fails with a
+/// typed device error on an injected launch fault.
 pub fn perm_filter_atomic(
     device: &GpuDevice,
     signal: &DeviceBuffer<Cplx>,
@@ -65,11 +66,11 @@ pub fn perm_filter_atomic(
     b: usize,
     perm: &Permutation,
     stream: StreamId,
-) -> Vec<Cplx> {
+) -> Result<Vec<Cplx>, GpuError> {
     let half = w / 2;
     let acc = DevAtomicCplx::zeroed(b);
     let cfg = LaunchConfig::for_elements(w, BLOCK);
-    device.launch_foreach("perm_filter_atomic", cfg, stream, |ctx, gm| {
+    device.try_launch_foreach("perm_filter_atomic", cfg, stream, |ctx, gm| {
         let i = ctx.global_id();
         if i >= w {
             return;
@@ -80,8 +81,8 @@ pub fn perm_filter_atomic(
         gm.flops(8);
         let bi = (i + b - half % b) % b;
         acc.fetch_add(gm, bi, x * t);
-    });
-    acc.snapshot()
+    })?;
+    Ok(acc.snapshot())
 }
 
 /// Algorithm 2: loop-partition kernel (the paper's baseline).
@@ -151,6 +152,32 @@ impl std::fmt::Display for SharedMemOverflow {
 
 impl std::error::Error for SharedMemOverflow {}
 
+/// Why [`try_perm_filter_shared`] returned no buckets.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SharedFilterError {
+    /// The per-block sub-histogram does not fit in shared memory.
+    SharedMem(SharedMemOverflow),
+    /// A launch faulted; the faulted kernel executed no blocks.
+    Gpu(GpuError),
+}
+
+impl std::fmt::Display for SharedFilterError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SharedFilterError::SharedMem(e) => e.fmt(f),
+            SharedFilterError::Gpu(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for SharedFilterError {}
+
+impl From<GpuError> for SharedFilterError {
+    fn from(e: GpuError) -> Self {
+        SharedFilterError::Gpu(e)
+    }
+}
+
 /// The conventional GPU-histogram approach with per-block sub-histograms
 /// in shared memory ([21], [22] in the paper): each block accumulates
 /// into its private copy, then merges into global memory with atomics.
@@ -158,7 +185,7 @@ impl std::error::Error for SharedMemOverflow {}
 /// Returns `Err` when `B` complex buckets do not fit in shared memory —
 /// which, as the paper points out, is the common case for sFFT
 /// (`B = √(nk/log n)` reaches thousands while 48 KB holds at most 3072
-/// complex-double bins per block).
+/// complex-double bins per block) — or when either launch faults.
 #[allow(clippy::too_many_arguments)]
 #[must_use = "this operation can fault; the error carries the recovery cue"]
 pub fn try_perm_filter_shared(
@@ -169,15 +196,15 @@ pub fn try_perm_filter_shared(
     b: usize,
     perm: &Permutation,
     stream: StreamId,
-) -> Result<Vec<Cplx>, SharedMemOverflow> {
+) -> Result<Vec<Cplx>, SharedFilterError> {
     let required = b * std::mem::size_of::<Cplx>();
     let available = device.spec().shared_mem_per_sm;
     if required > available {
-        return Err(SharedMemOverflow {
+        return Err(SharedFilterError::SharedMem(SharedMemOverflow {
             required,
             available,
             b,
-        });
+        }));
     }
     let half = w / 2;
     let cfg = LaunchConfig::for_elements(w, BLOCK).with_shared_mem(required as u32);
@@ -189,7 +216,7 @@ pub fn try_perm_filter_shared(
     // occupancy through the launch config. Functionally we accumulate
     // into per-block host-side sub-histograms.
     let subhist = DevAtomicCplx::zeroed(grid_blocks * b);
-    device.launch_foreach("perm_filter_shared", cfg, stream, |ctx, gm| {
+    device.try_launch_foreach("perm_filter_shared", cfg, stream, |ctx, gm| {
         let i = ctx.global_id();
         if i >= w {
             return;
@@ -202,13 +229,13 @@ pub fn try_perm_filter_shared(
         // In-block shared-memory atomics: functional accumulation without
         // a DRAM trace (intra-block conflicts are negligible for B ≫ 32).
         subhist.fetch_add_untraced(ctx.block_idx as usize * b + bi, x * t);
-    });
+    })?;
 
     // Phase 2: merge the sub-histograms with global atomics — this is the
     // part the paper calls "a major bottleneck to good performance".
     let acc = DevAtomicCplx::zeroed(b);
     let merge_cfg = LaunchConfig::for_elements(grid_blocks * b, BLOCK);
-    device.launch_foreach("perm_filter_shared_merge", merge_cfg, stream, |ctx, gm| {
+    device.try_launch_foreach("perm_filter_shared_merge", merge_cfg, stream, |ctx, gm| {
         let t = ctx.global_id();
         if t >= grid_blocks * b {
             return;
@@ -217,7 +244,7 @@ pub fn try_perm_filter_shared(
         if v != ZERO {
             acc.fetch_add(gm, t % b, v);
         }
-    });
+    })?;
     Ok(acc.snapshot())
 }
 
@@ -655,7 +682,8 @@ mod tests {
             su.params.b_loc,
             &su.perm,
             DEFAULT_STREAM,
-        );
+        )
+        .expect("fault-free device");
         // Atomic accumulation order varies → slightly looser tolerance.
         assert_buckets_match(&got, &cpu_reference(&su), 1e-9);
     }
@@ -855,7 +883,7 @@ mod tests {
         let signal = DeviceBuffer::from_host(&su.s.time);
         let taps = DeviceBuffer::from_host(&su.taps_pad);
         su.device.reset_clock();
-        let _ = perm_filter_atomic(
+        perm_filter_atomic(
             &su.device,
             &signal,
             &taps,
@@ -863,7 +891,8 @@ mod tests {
             su.params.b_loc,
             &su.perm,
             DEFAULT_STREAM,
-        );
+        )
+        .expect("fault-free device");
         let rec = &su.device.records()[0];
         assert!(rec.stats.atomic_ops > 0.0, "atomics must be traced");
         assert!(rec.cost.t_atomic > 0.0, "contention must be charged");
@@ -910,9 +939,45 @@ mod tests {
             DEFAULT_STREAM,
         )
         .unwrap_err();
+        let SharedFilterError::SharedMem(err) = err else {
+            panic!("expected a shared-memory overflow, got {err:?}");
+        };
         assert_eq!(err.b, b);
         assert!(err.required > err.available);
         assert!(err.to_string().contains("inapplicable"));
+    }
+
+    #[test]
+    fn shared_histogram_reports_launch_faults() {
+        let su = setup();
+        su.device
+            .install_fault_plan(gpu_sim::FaultConfig::persistent(42));
+        let signal = DeviceBuffer::from_host(&su.s.time);
+        let taps = DeviceBuffer::from_host(&su.taps_pad);
+        let err = try_perm_filter_shared(
+            &su.device,
+            &signal,
+            &taps,
+            su.params.filter_loc.width(),
+            su.params.b_loc,
+            &su.perm,
+            DEFAULT_STREAM,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SharedFilterError::Gpu(
+                    GpuError::LaunchFailure { .. } | GpuError::LaunchTimeout { .. }
+                )
+            ),
+            "{err:?}"
+        );
+        assert_eq!(
+            su.device.faults_injected(),
+            1,
+            "no launch after the faulted one"
+        );
     }
 
     #[test]

@@ -17,13 +17,12 @@
 
 use fft::cplx::Cplx;
 use fft::dft_band;
-use serde::{Deserialize, Serialize};
 
 use crate::cheb::{dolph_chebyshev, dolph_width};
 use crate::gauss::{gauss_width, gaussian};
 
 /// Which prototype window to flatten.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowKind {
     /// Dolph-Chebyshev (minimax sidelobes) — the reference choice.
     DolphChebyshev,

@@ -239,7 +239,7 @@ impl<T: Copy> DeviceBuffer<T> {
         &self.data
     }
 
-    /// Mutable view — used by the executor for `launch_map` outputs; not
+    /// Mutable view — used by the executor for `try_launch_map` outputs; not
     /// normally touched by user code.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {

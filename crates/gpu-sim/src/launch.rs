@@ -1,10 +1,8 @@
 //! Launch geometry: grids, blocks, and the CUDA-style thread hierarchy.
 
-use serde::{Deserialize, Serialize};
-
 /// A 1-D launch configuration (the sparse-FFT kernels are all 1-D; 2-D/3-D
 /// grids add nothing to the model and are omitted deliberately).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchConfig {
     /// Number of thread blocks in the grid.
     pub grid_dim: u32,

@@ -3,13 +3,11 @@
 //! couple of neighbouring Kepler parts for sensitivity studies, and Table II
 //! (the Sandy Bridge CPU test-bench) for the CPU-side model.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of a simulated CUDA device.
 ///
 /// Every field participates in the cost model in `crate::cost`; none is
 /// decorative.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Marketing name, e.g. "Tesla K20x".
     pub name: String,
@@ -188,7 +186,7 @@ impl DeviceSpec {
 
 /// Parameters of the CPU test-bench (paper Table II) used to convert
 /// measured CPU work into modelled Sandy Bridge times where needed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuSpec {
     /// Marketing name.
     pub name: String,

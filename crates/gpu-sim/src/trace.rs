@@ -15,12 +15,10 @@
 
 use std::cell::Cell;
 
-use serde::{Deserialize, Serialize};
-
 use crate::gmem::Gmem;
 
 /// What kind of memory operation an access was.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Plain global load, independent of previous loads (address known
     /// up-front — e.g. after the paper's *index mapping* rewrite).

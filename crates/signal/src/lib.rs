@@ -4,7 +4,7 @@
 //! * [`noise`] — AWGN at a prescribed SNR;
 //! * [`metrics`] — L1 error per large coefficient (Figure 5(f)) and
 //!   support recall/precision;
-//! * [`config`] — serialisable experiment descriptions.
+//! * [`config`] — experiment descriptions.
 
 pub mod cluster;
 pub mod config;

@@ -23,8 +23,7 @@ use std::fmt::Write as _;
 
 use gpu_sim::{Op, Schedule};
 
-use crate::json::{self, JsonValue};
-use crate::metrics::json_str;
+use crate::json::{self, json_str, JsonValue};
 use crate::span::{op_category, Span, SpanKind, SpanTree};
 
 /// Microseconds with fixed three decimals — monotone in the input (ties

@@ -10,7 +10,7 @@
 
 use std::fmt::Write as _;
 
-use crate::metrics::{fmt_f64, json_str};
+use crate::json::{fmt_f64, json_str};
 
 /// One structured event: a named record with a simulated timestamp, an
 /// optional parent link (ids are append-ordered, so `parent < id`

@@ -1,6 +1,6 @@
 //! # `cusfft-telemetry` — deterministic observability for the serving stack
 //!
-//! Three layers over the `gpu-sim` timeline, all pure functions of
+//! Layers over the `gpu-sim` timeline, all pure functions of
 //! already-deterministic inputs:
 //!
 //! * [`span`] — a hierarchical span model (serve → control / group →
@@ -17,6 +17,8 @@
 //! * [`events`] — a causally-linked structured event log (dense ids,
 //!   parent links forming a forest, deterministic text/JSON renderers)
 //!   that `cusfft::audit` builds the policy flight recorder on.
+//! * [`json`] — the workspace's one JSON module: reader, writer, and
+//!   the string escaper and float formatter every exporter uses.
 //!
 //! The crate depends only on `gpu-sim`; the `cusfft::observe` module
 //! adapts `ServeReport`s into these types, and `reproduce trace` writes
@@ -32,8 +34,8 @@ pub mod span;
 
 pub use chrome::{chrome_trace, chrome_trace_annotated, validate_chrome_trace, TraceAnnotation, TraceSummary};
 pub use events::{Event, EventLog};
-pub use json::{parse as parse_json, JsonValue};
-pub use metrics::{fmt_f64, Histogram, MetricKind, Registry, Sample, HIST_BOUNDS};
+pub use json::{fmt_f64, parse as parse_json, JsonValue};
+pub use metrics::{Histogram, MetricKind, Registry, Sample, HIST_BOUNDS};
 pub use span::{
     backend_label, build_span_tree, decode_tag, op_category, tag_batch, tag_fallback, tag_retry,
     GroupMeta, OpAttribution, RequestMeta, Span, SpanKind, SpanTree, BACKEND_CONTROL,

@@ -12,6 +12,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::{fmt_f64, json_str};
+
 /// Histogram bucket upper bounds: a 1-2-5 log-linear ladder over
 /// `1 µs ..= 50 s`, in seconds. Chosen so that any simulated latency the
 /// serving stack produces falls in a stable bucket regardless of the
@@ -326,38 +328,6 @@ fn with_label(labels: &str, key: &str, value: &str) -> String {
     } else {
         format!("{},{key}=\"{value}\"}}", &labels[..labels.len() - 1])
     }
-}
-
-/// Deterministic float formatting: integers without a fractional part,
-/// everything else via Rust's shortest-roundtrip `Display` (stable across
-/// platforms for the same bit pattern).
-pub fn fmt_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
-}
-
-/// JSON string literal with escaping.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

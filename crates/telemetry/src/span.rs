@@ -590,7 +590,7 @@ pub fn build_span_tree(
             attrs.push(("qos".to_string(), q.clone()));
         }
         if let Some(a) = r.arrival {
-            attrs.push(("arrival".to_string(), crate::metrics::fmt_f64(a)));
+            attrs.push(("arrival".to_string(), crate::json::fmt_f64(a)));
         }
         if let Some(g) = r.gid {
             attrs.push(("gid".to_string(), g.to_string()));

@@ -35,31 +35,47 @@ fn main() {
 
     let xb = DeviceBuffer::from_host(&x);
     let yb = DeviceBuffer::from_host(&y);
-    let mut out: DeviceBuffer<f64> = device.alloc_zeroed(n);
-    device.launch_map("saxpy", cfg, DEFAULT_STREAM, &mut out, |ctx, gm| {
-        let i = ctx.global_id();
-        let v = a * gm.ld(&xb, i) + gm.ld(&yb, i);
-        gm.flops(2);
-        v
-    });
+    let mut out: DeviceBuffer<f64> = device
+        .try_alloc_zeroed(n, DEFAULT_STREAM)
+        .expect("alloc on a fault-free device within capacity");
+    device
+        .try_launch_map("saxpy", cfg, DEFAULT_STREAM, &mut out, |ctx, gm| {
+            let i = ctx.global_id();
+            let v = a * gm.ld(&xb, i) + gm.ld(&yb, i);
+            gm.flops(2);
+            v
+        })
+        .expect("launch on a fault-free device");
     assert_eq!(out.peek()[3], 2.0 * 3.0 + 1.0);
 
     // --- 2. The same traffic, scattered: watch the model react. ----------
     let stride = 999_983; // prime → full scatter
-    let mut out2: DeviceBuffer<f64> = device.alloc_zeroed(n);
-    device.launch_map("saxpy_scattered", cfg, DEFAULT_STREAM, &mut out2, |ctx, gm| {
-        let i = (ctx.global_id() * stride) % n;
-        let v = a * gm.ld(&xb, i) + gm.ld(&yb, i);
-        gm.flops(2);
-        v
-    });
+    let mut out2: DeviceBuffer<f64> = device
+        .try_alloc_zeroed(n, DEFAULT_STREAM)
+        .expect("alloc on a fault-free device within capacity");
+    device
+        .try_launch_map(
+            "saxpy_scattered",
+            cfg,
+            DEFAULT_STREAM,
+            &mut out2,
+            |ctx, gm| {
+                let i = (ctx.global_id() * stride) % n;
+                let v = a * gm.ld(&xb, i) + gm.ld(&yb, i);
+                gm.flops(2);
+                v
+            },
+        )
+        .expect("launch on a fault-free device");
 
     // --- 3. A histogram with atomics. ------------------------------------
     let bins = DevAtomicU32::zeroed(64);
-    device.launch_foreach("histogram", cfg, DEFAULT_STREAM, |ctx, gm| {
-        let i = ctx.global_id();
-        bins.fetch_add(gm, i % 64, 1);
-    });
+    device
+        .try_launch_foreach("histogram", cfg, DEFAULT_STREAM, |ctx, gm| {
+            let i = ctx.global_id();
+            bins.fetch_add(gm, i % 64, 1);
+        })
+        .expect("launch on a fault-free device");
     assert!(bins.snapshot().iter().all(|&c| c as usize == n / 64));
 
     // --- 4. What did the device believe happened? ------------------------

@@ -55,7 +55,7 @@ fn main() {
 
     // Compare the simulated device time against the dense cuFFT baseline.
     let dev = GpuDevice::k20x();
-    let _ = cufft_dense_baseline(&dev, &signal.time, DEFAULT_STREAM);
+    cufft_dense_baseline(&dev, &signal.time, DEFAULT_STREAM).expect("fault-free device");
     let cufft_time = dev.elapsed();
     println!("\nsimulated Tesla K20x times (input device-resident):");
     println!("  cusFFT (optimized): {:>10.3} ms", out.sim_time * 1e3);

@@ -94,7 +94,7 @@ fn main() {
 
     // Verification against truth and against a dense FFT sensing pass.
     let dev = GpuDevice::k20x();
-    let _ = cufft_dense_baseline(&dev, &time, DEFAULT_STREAM);
+    cufft_dense_baseline(&dev, &time, DEFAULT_STREAM).expect("fault-free device");
     let dense_time = dev.elapsed();
 
     let missed: Vec<usize> = truth

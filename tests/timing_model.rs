@@ -23,7 +23,7 @@ fn cufft_time(log2n: u32) -> f64 {
     let n = 1usize << log2n;
     let s = SparseSignal::generate(n, 4, MagnitudeModel::Unit, 3);
     let dev = GpuDevice::k20x();
-    let _ = cufft_dense_baseline(&dev, &s.time, DEFAULT_STREAM);
+    cufft_dense_baseline(&dev, &s.time, DEFAULT_STREAM).expect("fault-free device");
     dev.elapsed()
 }
 
