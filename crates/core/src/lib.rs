@@ -110,7 +110,7 @@ pub use journal::{
     JournalTally, ServeCrash,
 };
 pub use overload::{nominal_service, LatencyStats, OverloadConfig, OverloadTally, TimedRequest};
-pub use perm_filter::{choose_remap, chunk_plan, ChunkPlan, RemapChoice, RemapKind};
+pub use perm_filter::{choose_remap, chunk_plan, ChunkPlan, RemapChoice, RemapKind, RemapLaunch};
 pub use pipeline::{
     residual_tolerance, CusFft, CusFftOutput, ExecStreams, HostPhaseWalls, Variant,
 };

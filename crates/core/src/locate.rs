@@ -2,12 +2,71 @@
 //! bucket walks the bucket's preimage, votes with `atomicAdd` on the
 //! score array, and appends frequencies that reach the threshold through
 //! an atomic cursor.
+//!
+//! On a real GPU the cursor hands out hit slots in warp-scheduling order.
+//! Here each crossing stores at the slot a sequential run's cursor would
+//! give it (`sequential_slots`, computed on the host before the launch),
+//! so the traced store addresses — and with them the kernel's modeled
+//! transactions — do not depend on how host threads interleave. The
+//! selected buckets are distinct, so their preimages are disjoint: every
+//! frequency gets at most one vote per launch, and whether a vote crosses
+//! the threshold depends only on the scores before the launch.
 
 use gpu_sim::{DevAtomicU32, DeviceBuffer, GpuDevice, GpuError, LaunchConfig, StreamId};
 use sfft_cpu::perm::mul_mod;
 use sfft_cpu::Permutation;
 
 const BLOCK: u32 = 64;
+
+/// The preimage of permuted bucket `j`: the `n/B` frequencies
+/// `σ·(j·n/B − n/(2B) + i) mod n`, `i = 0..n/B`, in the order the
+/// location kernel's thread walks them.
+fn preimage(j: usize, perm: &Permutation, b: usize) -> impl Iterator<Item = usize> {
+    let (n, a) = (perm.n, perm.a);
+    let n_div_b = n / b;
+    let first = mul_mod((j * n_div_b + n - n_div_b / 2) % n, a, n);
+    std::iter::successors(Some(first), move |&loc| {
+        let next = loc + a;
+        Some(if next >= n { next - n } else { next })
+    })
+    .take(n_div_b)
+}
+
+/// The first hit slot of each selected bucket's thread in a sequential
+/// run: the cursor's value before the launch plus the threshold crossings
+/// of every earlier thread. `voted(loc)` says whether the kernel votes for
+/// `loc` (the masked variant skips masked-out candidates). Panics when a
+/// bucket is selected twice: its frequencies would then get two votes in
+/// one launch, and a crossing on the second vote would have no slot.
+fn sequential_slots(
+    selected: &DeviceBuffer<u32>,
+    perm: &Permutation,
+    b: usize,
+    thresh: usize,
+    state: &LocateState,
+    voted: impl Fn(usize) -> bool,
+) -> Vec<u32> {
+    let mut seen = vec![false; b];
+    let mut next = state.cursor.load_untraced(0);
+    selected
+        .as_slice()
+        .iter()
+        .map(|&j| {
+            let j = j as usize;
+            assert!(
+                !std::mem::replace(&mut seen[j], true),
+                "bucket {j} is selected twice"
+            );
+            let first = next;
+            for loc in preimage(j, perm, b) {
+                if voted(loc) && state.score.load_untraced(loc) as usize + 1 == thresh {
+                    next += 1;
+                }
+            }
+            first
+        })
+        .collect()
+}
 
 /// Device-resident voting state shared across the location loops.
 pub struct LocateState {
@@ -43,9 +102,14 @@ impl LocateState {
     }
 }
 
-/// Runs the location kernel for one location loop. Fails with a typed
-/// device error on an injected launch fault; the voting state is then
-/// untouched (no blocks executed), so a retry re-votes from clean state.
+/// Runs the location kernel for one location loop. `selected` must hold
+/// distinct bucket indices below `b`; a repeated bucket panics. With a
+/// `mask` (sFFT v2), candidates whose residue mod `mask.len()` is zero in
+/// `mask` are skipped before any atomic work — the comb pre-filter's saving — and the kernel is named
+/// `locate_masked`. Fails with a typed device error on an injected launch
+/// fault; the voting state is then untouched (no blocks executed), so a
+/// retry re-votes from clean state.
+#[allow(clippy::too_many_arguments)]
 pub fn locate_device(
     device: &GpuDevice,
     selected: &DeviceBuffer<u32>,
@@ -53,89 +117,43 @@ pub fn locate_device(
     b: usize,
     thresh: usize,
     state: &LocateState,
+    mask: Option<&DeviceBuffer<u8>>,
     stream: StreamId,
 ) -> Result<(), GpuError> {
     let n = perm.n;
-    let n_div_b = n / b;
-    let half = n_div_b / 2;
-    let a = perm.a;
-    let count = selected.len();
-    if count == 0 {
-        return Ok(());
-    }
-    let max_hits = state.hits.len() as u32;
-    let cfg = LaunchConfig::for_elements(count, BLOCK);
-    device.try_launch_foreach("locate", cfg, stream, |ctx, gm| {
-        let tid = ctx.global_id();
-        if tid >= count {
-            return;
-        }
-        let j = gm.ld(selected, tid) as usize;
-        let low = (j * n_div_b + n - half) % n;
-        let mut loc = mul_mod(low, a, n);
-        for _ in 0..n_div_b {
-            let old = state.score.fetch_add(gm, loc, 1);
-            if old as usize + 1 == thresh {
-                let slot = state.cursor.fetch_add(gm, 0, 1);
-                if slot < max_hits {
-                    state.hits.store(gm, slot as usize, loc as u32);
-                }
-            }
-            loc += a;
-            if loc >= n {
-                loc -= n;
-            }
-        }
-    })
-}
-
-/// Masked variant (sFFT v2): candidates whose residue mod `mask.len()`
-/// is zero in `mask` are skipped before any atomic work — the comb
-/// pre-filter's saving.
-#[allow(clippy::too_many_arguments)]
-pub fn locate_masked_device(
-    device: &GpuDevice,
-    selected: &DeviceBuffer<u32>,
-    perm: &Permutation,
-    b: usize,
-    thresh: usize,
-    state: &LocateState,
-    mask: &DeviceBuffer<u8>,
-    stream: StreamId,
-) -> Result<(), GpuError> {
-    let n = perm.n;
-    let m = mask.len();
+    let m = mask.map_or(1, |mask| mask.len());
     assert!(m > 0 && n.is_multiple_of(m), "mask length must divide n");
-    let n_div_b = n / b;
-    let half = n_div_b / 2;
-    let a = perm.a;
     let count = selected.len();
     if count == 0 {
         return Ok(());
     }
     let max_hits = state.hits.len() as u32;
+    let slots = sequential_slots(selected, perm, b, thresh, state, |loc| {
+        mask.is_none_or(|mask| mask.as_slice()[loc % m] != 0)
+    });
+    let name = if mask.is_some() {
+        "locate_masked"
+    } else {
+        "locate"
+    };
     let cfg = LaunchConfig::for_elements(count, BLOCK);
-    device.try_launch_foreach("locate_masked", cfg, stream, |ctx, gm| {
+    device.try_launch_foreach(name, cfg, stream, |ctx, gm| {
         let tid = ctx.global_id();
         if tid >= count {
             return;
         }
         let j = gm.ld(selected, tid) as usize;
-        let low = (j * n_div_b + n - half) % n;
-        let mut loc = mul_mod(low, a, n);
-        for _ in 0..n_div_b {
-            if gm.ld_ro(mask, loc % m) != 0 {
+        let mut slot = slots[tid];
+        for loc in preimage(j, perm, b) {
+            if mask.is_none_or(|mask| gm.ld_ro(mask, loc % m) != 0) {
                 let old = state.score.fetch_add(gm, loc, 1);
                 if old as usize + 1 == thresh {
-                    let slot = state.cursor.fetch_add(gm, 0, 1);
+                    state.cursor.fetch_add(gm, 0, 1);
                     if slot < max_hits {
                         state.hits.store(gm, slot as usize, loc as u32);
                     }
+                    slot += 1;
                 }
-            }
-            loc += a;
-            if loc >= n {
-                loc -= n;
             }
         }
     })
@@ -172,7 +190,17 @@ mod tests {
         let selected = DeviceBuffer::from_host(&selected_host);
         let mask = DeviceBuffer::from_host(&mask_host);
         let state = LocateState::new(n, n);
-        locate_masked_device(&dev, &selected, &perm, b, 1, &state, &mask, DEFAULT_STREAM).unwrap();
+        locate_device(
+            &dev,
+            &selected,
+            &perm,
+            b,
+            1,
+            &state,
+            Some(&mask),
+            DEFAULT_STREAM,
+        )
+        .unwrap();
         assert_eq!(state.hits_sorted(), cpu_hits);
     }
 
@@ -194,7 +222,7 @@ mod tests {
         // GPU kernel.
         let selected = DeviceBuffer::from_host(&selected_host);
         let state = LocateState::new(n, n);
-        locate_device(&dev, &selected, &perm, b, 1, &state, DEFAULT_STREAM).unwrap();
+        locate_device(&dev, &selected, &perm, b, 1, &state, None, DEFAULT_STREAM).unwrap();
         assert_eq!(state.hits_sorted(), cpu_hits);
     }
 
@@ -206,9 +234,9 @@ mod tests {
         let state = LocateState::new(n, n);
         let perm = Permutation::new(5, 0, n);
         let selected = DeviceBuffer::from_host(&[2u32]);
-        locate_device(&dev, &selected, &perm, b, 2, &state, DEFAULT_STREAM).unwrap();
+        locate_device(&dev, &selected, &perm, b, 2, &state, None, DEFAULT_STREAM).unwrap();
         assert!(state.hits_sorted().is_empty(), "one vote < threshold 2");
-        locate_device(&dev, &selected, &perm, b, 2, &state, DEFAULT_STREAM).unwrap();
+        locate_device(&dev, &selected, &perm, b, 2, &state, None, DEFAULT_STREAM).unwrap();
         assert_eq!(state.hits_sorted().len(), n / b);
     }
 
@@ -221,13 +249,24 @@ mod tests {
         let perm = Permutation::new(9, 0, n);
         let selected = DeviceBuffer::from_host(&[1u32]);
         for _ in 0..5 {
-            locate_device(&dev, &selected, &perm, b, 2, &state, DEFAULT_STREAM).unwrap();
+            locate_device(&dev, &selected, &perm, b, 2, &state, None, DEFAULT_STREAM).unwrap();
         }
         let hits = state.hits_sorted();
         let mut dedup = hits.clone();
         dedup.dedup();
         assert_eq!(hits, dedup, "no duplicate hits");
         assert_eq!(hits.len(), n / b);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket 2 is selected twice")]
+    fn duplicate_selected_bucket_is_rejected() {
+        let dev = device();
+        let n = 1 << 10;
+        let state = LocateState::new(n, n);
+        let perm = Permutation::new(5, 0, n);
+        let selected = DeviceBuffer::from_host(&[2u32, 7, 2]);
+        let _ = locate_device(&dev, &selected, &perm, 32, 2, &state, None, DEFAULT_STREAM);
     }
 
     #[test]
@@ -238,7 +277,7 @@ mod tests {
         let perm = Permutation::new(77, 0, n);
         let selected = DeviceBuffer::from_host(&[0u32, 1, 2, 3]);
         dev.reset_clock();
-        locate_device(&dev, &selected, &perm, 64, 1, &state, DEFAULT_STREAM).unwrap();
+        locate_device(&dev, &selected, &perm, 64, 1, &state, None, DEFAULT_STREAM).unwrap();
         let rec = &dev.records()[0];
         assert!(rec.stats.atomic_ops > 0.0);
         assert_eq!(rec.name, "locate");

@@ -26,18 +26,24 @@
 //! [`choose_remap`] prices both with the `warp_transactions` model and
 //! picks the winner, guarded by the occupancy cost of the tile.
 //!
+//! The remap kernels are not traced. Their gather `x[(τ + (i − w/2)·σ⁻¹)
+//! mod n]` is an affine function of the thread id, so [`RemapLaunch`]
+//! prices each sampled warp from that index stream through
+//! `GpuDevice::try_launch_map_priced`, mirroring the tracer's slot rules
+//! exactly; `tests/remap_priced_oracle.rs` holds it to the tracer bit for
+//! bit. Every other kernel here is traced.
+//!
 //! Tap index convention matches `sfft-cpu`: tap `i` applies to time
 //! `t = i − w/2` and bucket `t mod B`; thread/bucket `tid` therefore owns
 //! taps `i ≡ tid + w/2 (mod B)`. Taps are zero-padded to a multiple of B
 //! (`w_pad`), which changes nothing numerically.
 
 use fft::cplx::{Cplx, ZERO};
-use gpu_sim::trace::{warp_transactions, TxnPolicy};
+use gpu_sim::trace::{warp_transactions, TxnPolicy, WarpTxn, LINE_BYTES, SEGMENT_BYTES};
 use gpu_sim::{
-    occupancy, BufferPool, DevAtomicCplx, DeviceBuffer, DeviceSpec, GpuDevice, GpuError,
-    LaunchConfig, PooledBuffer, StreamId,
+    occupancy, BufferPool, DevAtomicCplx, DeviceBuffer, DeviceSpec, Gmem, GpuDevice, GpuError,
+    LaunchConfig, PooledBuffer, StreamId, ThreadCtx, WarpCost,
 };
-use sfft_cpu::perm::mul_mod;
 use sfft_cpu::Permutation;
 
 /// Threads per block used by the filter kernels.
@@ -47,13 +53,25 @@ const BLOCK: u32 = 256;
 /// product sub-tile of `BLOCK` complex doubles each.
 const TILE_BYTES: u32 = 2 * BLOCK * std::mem::size_of::<Cplx>() as u32;
 
+/// Most lanes a remap warp may have: the pricer's stack arrays hold one
+/// entry per lane.
+const MAX_WARP_LANES: usize = 32;
+
 /// Signal index for tap `i`: `(τ + (i − w/2)·σ⁻¹) mod n` — the paper's
-/// *index mapping* (no dependence on the previous iteration).
+/// *index mapping* (no dependence on the previous iteration). `n` must be
+/// a power of two, as every sFFT signal length is (`SfftParams` enforces
+/// it).
 #[inline]
 pub fn tap_source_index(i: usize, half: usize, perm: &Permutation) -> usize {
     let n = perm.n;
-    let t = (i + n - half) % n; // i − half (mod n); half < n always
-    (perm.tau + mul_mod(t, perm.ai, n)) % n
+    assert!(
+        n.is_power_of_two(),
+        "signal length {n} must be a power of two"
+    );
+    // n divides 2^64 (2^32 on 32-bit targets), so wrapping arithmetic
+    // reduced by the mask is exact.
+    let t = i.wrapping_sub(half);
+    perm.tau.wrapping_add(t.wrapping_mul(perm.ai)) & (n - 1)
 }
 
 /// Strawman: per-tap threads with atomic bucket updates. Fails with a
@@ -260,6 +278,192 @@ pub enum RemapKind {
     /// [`RemapKind::Direct`] because `x·t + acc` is evaluated with the
     /// same expression tree either way (see `Cplx::mul_add`).
     Tiled,
+}
+
+/// One chunk's remap launch (Section V): thread `t` stages tap
+/// `first_tap + t`'s signal sample — or, under [`RemapKind::Tiled`], the
+/// `signal × tap` product — into the chunk's staging buffer in coalesced
+/// order.
+///
+/// The launch is never traced. Its address stream is affine in the
+/// thread id, so [`RemapLaunch::launch`] prices each sampled warp from
+/// that stream ([`RemapLaunch::price_warp`]) and the statistics equal a
+/// traced run of [`RemapLaunch::thread`] bit for bit
+/// (`tests/remap_priced_oracle.rs` compares the two).
+#[derive(Clone, Copy)]
+pub struct RemapLaunch<'a> {
+    /// Remap flavour.
+    pub kind: RemapKind,
+    /// The time-domain signal the remap gathers from.
+    pub signal: &'a DeviceBuffer<Cplx>,
+    /// Filter taps, zero-padded to `w_pad`.
+    pub taps: &'a DeviceBuffer<Cplx>,
+    /// The pass's permutation.
+    pub perm: &'a Permutation,
+    /// `w / 2`: tap `i` applies to time `i − half`.
+    pub half: usize,
+    /// Tap index of the launch's thread 0 (`r_lo · B` for a chunk).
+    pub first_tap: usize,
+    /// Whether the staging buffer stays L2-resident: its stores then take
+    /// an instruction slot but move no DRAM traffic.
+    pub staged_cached: bool,
+}
+
+impl RemapLaunch<'_> {
+    /// Kernel name on the timeline.
+    pub fn name(&self) -> &'static str {
+        match self.kind {
+            RemapKind::Direct => "remap",
+            RemapKind::Tiled => "remap_tiled",
+        }
+    }
+
+    /// Launch geometry for a staging buffer of `len` elements. The tiled
+    /// flavour stages the tap tile and the gathered signal tile in shared
+    /// memory (`TILE_BYTES`, modelled through the launch config).
+    pub fn config(&self, len: usize) -> LaunchConfig {
+        let cfg = LaunchConfig::for_elements(len, BLOCK);
+        match self.kind {
+            RemapKind::Direct => cfg,
+            RemapKind::Tiled => cfg.with_shared_mem(TILE_BYTES),
+        }
+    }
+
+    /// The kernel body: thread `ctx` returns the value stored at its
+    /// staging slot. Loads are independent (index mapping) and feed no
+    /// accumulator, so the kernel runs at full memory-level parallelism —
+    /// this is where the paper's optimisation wins over the
+    /// serially-stalling baseline loop.
+    #[inline]
+    pub fn thread(&self, ctx: ThreadCtx, gm: &mut Gmem<'_>) -> Cplx {
+        let i = self.first_tap + ctx.global_id();
+        let tap = gm.ld_ro(self.taps, i);
+        if tap == ZERO {
+            return ZERO;
+        }
+        let src = tap_source_index(i, self.half, self.perm);
+        // The gather goes through the read-only (`__ldg`) path: the signal
+        // is immutable for the kernel's duration, and Kepler services
+        // __ldg scatter as 32 B segments instead of full 128 B lines — the
+        // coalescing win of the transformation.
+        let x = gm.ld_ro(self.signal, src);
+        match self.kind {
+            RemapKind::Direct => x,
+            RemapKind::Tiled => {
+                gm.flops(6);
+                // Same multiply `Cplx::mul_add` performs, so the buckets
+                // stay bit-identical to the direct flavour.
+                x * tap
+            }
+        }
+    }
+
+    /// Prices the warp of `lanes` threads starting at thread `first_tid`
+    /// whose staging buffer starts at address `staged_base`, exactly as the
+    /// tracer prices [`RemapLaunch::thread`] plus the executor's store:
+    ///
+    /// * slot 0 is every lane's coalesced tap `__ldg`;
+    /// * slot 1 is the gather of every lane whose tap is nonzero — and,
+    ///   when staging is not L2-resident, the store of every zero-tap lane,
+    ///   which returns early and so stores at its second slot;
+    /// * slot 2 is the store of every nonzero-tap lane;
+    /// * stores to L2-resident staging take their slot but no traffic.
+    ///
+    /// Every slot is a `Segmented` instruction, priced by the coalescer's
+    /// own rule ([`WarpTxn`]). The gather walks `src += σ⁻¹ (mod n)` from
+    /// lane to lane; segment ids sit in stack arrays, so pricing allocates
+    /// nothing.
+    pub fn price_warp(&self, staged_base: u64, first_tid: usize, lanes: usize) -> WarpCost {
+        assert!(
+            (1..=MAX_WARP_LANES).contains(&lanes),
+            "a remap warp has 1..={MAX_WARP_LANES} lanes, got {lanes}"
+        );
+        const ELEM: u64 = std::mem::size_of::<Cplx>() as u64;
+        let i0 = self.first_tap + first_tid;
+        let mut cost = WarpCost::default();
+
+        let first = self.taps.addr_of(i0);
+        let last = first + lanes as u64 * ELEM - 1;
+        let segs = last / SEGMENT_BYTES - first / SEGMENT_BYTES + 1;
+        let lines = last / LINE_BYTES - first / LINE_BYTES + 1;
+        charge(
+            &mut cost,
+            WarpTxn::from_counts(segs, lines, TxnPolicy::Segmented),
+            lanes,
+        );
+
+        let (mut slot1, mut n1) = ([0u64; MAX_WARP_LANES], 0);
+        let (mut slot2, mut n2) = ([0u64; MAX_WARP_LANES], 0);
+        let mut active = 0;
+        let (n, ai) = (self.perm.n, self.perm.ai);
+        let mut src = tap_source_index(i0, self.half, self.perm);
+        for (lane, &tap) in self.taps.as_slice()[i0..i0 + lanes].iter().enumerate() {
+            let store = (staged_base + (first_tid + lane) as u64 * ELEM) / SEGMENT_BYTES;
+            if tap == ZERO {
+                if !self.staged_cached {
+                    slot1[n1] = store;
+                    n1 += 1;
+                }
+            } else {
+                active += 1;
+                slot1[n1] = self.signal.addr_of(src) / SEGMENT_BYTES;
+                n1 += 1;
+                if !self.staged_cached {
+                    slot2[n2] = store;
+                    n2 += 1;
+                }
+            }
+            src += ai;
+            if src >= n {
+                src -= n;
+            }
+        }
+        for ids in [&mut slot1[..n1], &mut slot2[..n2]] {
+            charge(
+                &mut cost,
+                WarpTxn::from_segments(ids, TxnPolicy::Segmented),
+                ids.len(),
+            );
+        }
+        if self.kind == RemapKind::Tiled {
+            cost.flops = 6 * active;
+        }
+        cost
+    }
+
+    /// Runs the remap into `staged` (one thread per element), priced per
+    /// warp. On an injected launch fault no block executes and `staged`
+    /// is untouched.
+    pub fn launch(
+        &self,
+        device: &GpuDevice,
+        stream: StreamId,
+        staged: &mut DeviceBuffer<Cplx>,
+    ) -> Result<(), GpuError> {
+        assert!(
+            !self.staged_cached || staged.size_bytes() <= device.spec().l2_bytes,
+            "L2-resident staging ({} B) exceeds L2 ({} B)",
+            staged.size_bytes(),
+            device.spec().l2_bytes
+        );
+        let base = staged.base_addr();
+        device.try_launch_map_priced(
+            self.name(),
+            self.config(staged.len()),
+            stream,
+            staged,
+            |ctx, gm| self.thread(ctx, gm),
+            |first_tid, lanes| self.price_warp(base, first_tid, lanes),
+        )
+    }
+}
+
+/// Adds one warp instruction priced `t`, issued by `lanes` lanes, to
+/// `cost`.
+fn charge(cost: &mut WarpCost, t: WarpTxn, lanes: usize) {
+    cost.transactions += t.transactions;
+    cost.bytes += t.bytes;
+    cost.mem_ops += lanes as u64;
 }
 
 /// Chunking decision of the async layout pass — shared with plan warming
@@ -480,36 +684,22 @@ pub fn perm_filter_async_opts(
         let r_lo = c * rpc;
         let cr = staged_c.len() / b;
         // Remap kernel: gather the chunk's scattered signal reads into
-        // coalesced order. Loads are independent (index mapping) and feed
-        // no accumulator, so the kernel runs at full memory-level
-        // parallelism — this is where the paper's optimisation wins over
-        // the serially-stalling baseline loop.
-        let remap_cfg = LaunchConfig::for_elements(cr * b, BLOCK);
+        // coalesced order.
+        let remap = RemapLaunch {
+            kind,
+            signal,
+            taps,
+            perm,
+            half,
+            first_tap: r_lo * b,
+            staged_cached,
+        };
+        remap.launch(device, stream, staged_c)?;
+        let staged_ref: &DeviceBuffer<Cplx> = staged_c;
         match kind {
             RemapKind::Direct => {
-                let remap_body = |ctx: gpu_sim::ThreadCtx, gm: &mut gpu_sim::Gmem<'_>| {
-                    let t = ctx.global_id();
-                    let i = r_lo * b + t;
-                    let tap = gm.ld_ro(taps, i);
-                    if tap == ZERO {
-                        return ZERO;
-                    }
-                    let src = tap_source_index(i, half, perm);
-                    // The gather goes through the read-only (`__ldg`)
-                    // path: the signal is immutable for the kernel's
-                    // duration, and Kepler services __ldg scatter as 32 B
-                    // segments instead of full 128 B lines — the
-                    // coalescing win of the transformation.
-                    gm.ld_ro(signal, src)
-                };
-                if staged_cached {
-                    device.try_launch_map_scratch("remap", remap_cfg, stream, staged_c, remap_body)?;
-                } else {
-                    device.try_launch_map("remap", remap_cfg, stream, staged_c, remap_body)?;
-                }
                 // Execution kernel: consume the reordered data with
                 // coalesced accesses only; one partial per chunk.
-                let staged_ref: &DeviceBuffer<Cplx> = staged_c;
                 device.try_launch_map("exec", cfg_b, stream, partial_c, |ctx, gm| {
                     let tid = ctx.global_id();
                     let pos = (tid + half) % b;
@@ -528,39 +718,8 @@ pub fn perm_filter_async_opts(
                 })?;
             }
             RemapKind::Tiled => {
-                // Tiled/fused remap: lanes cooperatively stage the tap
-                // tile and the gathered signal tile in shared memory
-                // (`TILE_BYTES`, modelled through the launch config) and
-                // write back the *product*. Same loads as the direct
-                // remap plus the 6-flop complex multiply; the pay-off is
-                // in `exec_tiled`, which drops the tap stream entirely.
-                let tiled_cfg = remap_cfg.with_shared_mem(TILE_BYTES);
-                let remap_body = |ctx: gpu_sim::ThreadCtx, gm: &mut gpu_sim::Gmem<'_>| {
-                    let t = ctx.global_id();
-                    let i = r_lo * b + t;
-                    let tap = gm.ld_ro(taps, i);
-                    if tap == ZERO {
-                        return ZERO;
-                    }
-                    let src = tap_source_index(i, half, perm);
-                    let x = gm.ld_ro(signal, src);
-                    gm.flops(6);
-                    // Same multiply `Cplx::mul_add` performs, so the
-                    // buckets stay bit-identical to the direct flavour.
-                    x * tap
-                };
-                if staged_cached {
-                    device.try_launch_map_scratch(
-                        "remap_tiled",
-                        tiled_cfg,
-                        stream,
-                        staged_c,
-                        remap_body,
-                    )?;
-                } else {
-                    device.try_launch_map("remap_tiled", tiled_cfg, stream, staged_c, remap_body)?;
-                }
-                let staged_ref: &DeviceBuffer<Cplx> = staged_c;
+                // The tiled remap staged the product, so `exec_tiled`
+                // drops the tap stream entirely.
                 device.try_launch_map("exec_tiled", cfg_b, stream, partial_c, |ctx, gm| {
                     let tid = ctx.global_id();
                     let pos = (tid + half) % b;

@@ -517,27 +517,16 @@ impl CusFft {
             sel_host.clear();
             sel_host.extend(selected.iter().map(|&i| i as u32));
             let sel_buf = DeviceBuffer::from_host(&sel_host);
-            match &prep.mask_buf {
-                Some(mask) => crate::locate::locate_masked_device(
-                    device,
-                    &sel_buf,
-                    &perms[r],
-                    p.b_loc,
-                    p.loops_thresh,
-                    &state,
-                    mask,
-                    stream0,
-                )?,
-                None => locate_device(
-                    device,
-                    &sel_buf,
-                    &perms[r],
-                    p.b_loc,
-                    p.loops_thresh,
-                    &state,
-                    stream0,
-                )?,
-            }
+            locate_device(
+                device,
+                &sel_buf,
+                &perms[r],
+                p.b_loc,
+                p.loops_thresh,
+                &state,
+                prep.mask_buf.as_deref(),
+                stream0,
+            )?;
         }
         let hits = state.hits_sorted();
 

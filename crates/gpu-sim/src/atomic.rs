@@ -77,6 +77,12 @@ impl DevAtomicU32 {
         self.cells.iter().map(|c| c.load(Ordering::Relaxed)).collect()
     }
 
+    /// Host-side read of cell `i` (no device traffic charged).
+    #[inline]
+    pub fn load_untraced(&self, i: usize) -> u32 {
+        self.cells[i].load(Ordering::Relaxed)
+    }
+
     /// Host-side reset of every cell to zero.
     pub fn clear(&self) {
         for c in &self.cells {

@@ -4,8 +4,8 @@
 //! Kernels execute *functionally* on the host — thread-block chunks run
 //! concurrently on the shared work-stealing pool behind the vendored
 //! `rayon` (sized by `CUSFFT_HOST_THREADS`; `=1` is the sequential
-//! path) — while a sampled subset of blocks is traced for the cost
-//! model. A sampled block streams its accesses through the worker's
+//! path) — while a sampled subset of blocks is costed for the model. A
+//! sampled block normally streams its accesses through the worker's
 //! per-warp coalescer ([`crate::trace`]) as its threads run and returns
 //! one small [`BlockTally`]; nothing is stored per thread. Two launch
 //! shapes cover every kernel in the paper:
@@ -16,6 +16,13 @@
 //! * [`GpuDevice::try_launch_foreach`] — threads read global memory and update
 //!   [`crate::atomic`] arrays; no plain writes. This is the histogram /
 //!   voting shape.
+//!
+//! A map kernel whose addresses are a closed-form function of the thread
+//! id can skip the tracer: [`GpuDevice::try_launch_map_priced`] runs every
+//! block untraced and builds each sampled block's tally from a
+//! caller-supplied per-warp [`WarpCost`]. The async remap kernels
+//! (`cusfft::perm_filter`) are priced this way; every other kernel is
+//! traced, and the tracer stays the reference a pricer is tested against.
 //!
 //! # Determinism under host parallelism
 //!
@@ -62,10 +69,10 @@ use crate::launch::{LaunchConfig, ThreadCtx};
 use crate::metrics::KernelStats;
 use crate::spec::DeviceSpec;
 use crate::timeline::{schedule, Engine, Op, StreamId};
-use crate::trace::{trace_block, BlockTally};
+use crate::trace::{price_block, trace_block, BlockTally, WarpCost};
 
-/// Upper bound on traced threads per launch — keeps tracing overhead flat
-/// regardless of problem size.
+/// Upper bound on sampled (traced or priced) threads per launch — keeps
+/// tracing overhead flat regardless of problem size.
 const MAX_SAMPLED_THREADS: u64 = 1 << 14;
 
 /// One completed launch (or transfer), for profiler reports.
@@ -753,7 +760,7 @@ impl GpuDevice {
         F: Fn(ThreadCtx, &mut Gmem<'_>) -> T + Sync,
     {
         self.launch_fault_gate(name, stream)?;
-        self.launch_map_inner(name, cfg, stream, out, f, false);
+        self.launch_map_traced(name, cfg, stream, out, f, false);
         Ok(())
     }
 
@@ -782,11 +789,46 @@ impl GpuDevice {
             self.spec.l2_bytes
         );
         self.launch_fault_gate(name, stream)?;
-        self.launch_map_inner(name, cfg, stream, out, f, true);
+        self.launch_map_traced(name, cfg, stream, out, f, true);
         Ok(())
     }
 
-    fn launch_map_inner<T, F>(
+    /// Launches a map kernel like [`GpuDevice::try_launch_map`], but with
+    /// its cost supplied by the caller instead of traced: every block runs
+    /// `f` on the untraced fast path, and each *sampled* block's tally is
+    /// built from `price(first_tid, lanes)`, called once per warp with the
+    /// warp's first global thread id and its lane count (a partial last
+    /// warp has fewer lanes). The pricer must account for every access a
+    /// traced run of `f` would record, the executor's `out[tid]` store
+    /// included. Sampling, the fault gate and the fold into
+    /// [`KernelStats`] are those of a traced launch, so a pricer that
+    /// matches the tracer yields bit-identical statistics.
+    #[must_use = "this operation can fault; the error carries the recovery cue"]
+    pub fn try_launch_map_priced<T, F, P>(
+        &self,
+        name: &str,
+        cfg: LaunchConfig,
+        stream: StreamId,
+        out: &mut DeviceBuffer<T>,
+        f: F,
+        price: P,
+    ) -> Result<(), GpuError>
+    where
+        T: Copy + Send + Sync,
+        F: Fn(ThreadCtx, &mut Gmem<'_>) -> T + Sync,
+        P: Fn(usize, usize) -> WarpCost + Sync,
+    {
+        self.launch_fault_gate(name, stream)?;
+        let warp_size = self.spec.warp_size;
+        let block_dim = cfg.block_dim as usize;
+        self.launch_map_inner(name, cfg, stream, out, &f, |block_idx, chunk| {
+            run_untraced(cfg, block_idx, chunk, &f);
+            price_block(warp_size, block_idx * block_dim, chunk.len(), &price)
+        });
+        Ok(())
+    }
+
+    fn launch_map_traced<T, F>(
         &self,
         name: &str,
         cfg: LaunchConfig,
@@ -798,55 +840,60 @@ impl GpuDevice {
         T: Copy + Send + Sync,
         F: Fn(ThreadCtx, &mut Gmem<'_>) -> T + Sync,
     {
+        let warp_size = self.spec.warp_size;
+        let out_base = out.base_addr();
+        let elem = std::mem::size_of::<T>();
+        self.launch_map_inner(name, cfg, stream, out, &f, |block_idx, chunk| {
+            trace_block(warp_size, chunk.len(), |t, gm| {
+                let ctx = thread_ctx(cfg, block_idx, t);
+                let tid = ctx.global_id();
+                chunk[t] = f(ctx, gm);
+                gm.note_store(out_base + (tid * elem) as u64, elem as u32, cached_store);
+            })
+        });
+    }
+
+    /// Runs a map launch's blocks as disjoint output chunks: sampled blocks
+    /// (`block_idx % sample_every == 0`) through `sampled`, which returns
+    /// their tally, every other block through `f` on the untraced fast
+    /// path. Then folds and records the launch.
+    fn launch_map_inner<T, F, S>(
+        &self,
+        name: &str,
+        cfg: LaunchConfig,
+        stream: StreamId,
+        out: &mut DeviceBuffer<T>,
+        f: &F,
+        sampled: S,
+    ) where
+        T: Copy + Send + Sync,
+        F: Fn(ThreadCtx, &mut Gmem<'_>) -> T + Sync,
+        S: Fn(usize, &mut [T]) -> BlockTally + Sync,
+    {
         assert!(
             cfg.total_threads() >= out.len() as u64,
             "grid ({} threads) does not cover output ({} elements)",
             cfg.total_threads(),
             out.len()
         );
-        let block_dim = cfg.block_dim as usize;
         let sample_every = sample_every(cfg);
-        let warp_size = self.spec.warp_size;
-        let out_base = out.base_addr();
-        let elem = std::mem::size_of::<T>();
 
         // Blocks execute concurrently on the host pool as disjoint output
         // chunks; tallies are collected positionally (by `block_idx`, never
         // completion order), so `finish_launch` sees the same input as a
-        // sequential run. The traced/untraced decision is hoisted out of
+        // sequential run. The sampled/unsampled decision is hoisted out of
         // the per-thread loop: the ~(1 − 1/sample_every) of blocks that
         // are never sampled take a fast path with one reusable stateless
         // gateway and no coalescer or store-note bookkeeping.
         let tallies: Vec<BlockTally> = out
             .as_mut_slice()
-            .par_chunks_mut(block_dim)
+            .par_chunks_mut(cfg.block_dim as usize)
             .enumerate()
             .filter_map(|(block_idx, chunk)| {
                 if block_idx % sample_every == 0 {
-                    Some(trace_block(warp_size, chunk.len(), |t, gm| {
-                        let ctx = ThreadCtx {
-                            block_idx: block_idx as u32,
-                            thread_idx: t as u32,
-                            block_dim: cfg.block_dim,
-                            grid_dim: cfg.grid_dim,
-                        };
-                        let tid = ctx.global_id();
-                        chunk[t] = f(ctx, gm);
-                        gm.note_store(out_base + (tid * elem) as u64, elem as u32, cached_store);
-                    }))
+                    Some(sampled(block_idx, chunk))
                 } else {
-                    // Fast path: `note_store` is a no-op without a trace,
-                    // so only the functional store remains.
-                    let mut gm = Gmem::untraced();
-                    for (t, slot) in chunk.iter_mut().enumerate() {
-                        let ctx = ThreadCtx {
-                            block_idx: block_idx as u32,
-                            thread_idx: t as u32,
-                            block_dim: cfg.block_dim,
-                            grid_dim: cfg.grid_dim,
-                        };
-                        *slot = f(ctx, &mut gm);
-                    }
+                    run_untraced(cfg, block_idx, chunk, f);
                     None
                 }
             })
@@ -890,24 +937,12 @@ impl GpuDevice {
             .filter_map(|block_idx| {
                 if block_idx % sample_every == 0 {
                     Some(trace_block(warp_size, cfg.block_dim as usize, |t, gm| {
-                        let ctx = ThreadCtx {
-                            block_idx: block_idx as u32,
-                            thread_idx: t as u32,
-                            block_dim: cfg.block_dim,
-                            grid_dim: cfg.grid_dim,
-                        };
-                        f(ctx, gm);
+                        f(thread_ctx(cfg, block_idx, t), gm);
                     }))
                 } else {
                     let mut gm = Gmem::untraced();
                     for t in 0..cfg.block_dim as usize {
-                        let ctx = ThreadCtx {
-                            block_idx: block_idx as u32,
-                            thread_idx: t as u32,
-                            block_dim: cfg.block_dim,
-                            grid_dim: cfg.grid_dim,
-                        };
-                        f(ctx, &mut gm);
+                        f(thread_ctx(cfg, block_idx, t), &mut gm);
                     }
                     None
                 }
@@ -1009,8 +1044,32 @@ impl GpuDevice {
     }
 }
 
+/// Identity of thread `t` of block `block_idx`.
+#[inline]
+fn thread_ctx(cfg: LaunchConfig, block_idx: usize, t: usize) -> ThreadCtx {
+    ThreadCtx {
+        block_idx: block_idx as u32,
+        thread_idx: t as u32,
+        block_dim: cfg.block_dim,
+        grid_dim: cfg.grid_dim,
+    }
+}
+
+/// Runs one map block's threads untraced, storing `f`'s results into
+/// `chunk` (`note_store` is a no-op without a trace, so only the
+/// functional store remains).
+fn run_untraced<T, F>(cfg: LaunchConfig, block_idx: usize, chunk: &mut [T], f: &F)
+where
+    F: Fn(ThreadCtx, &mut Gmem<'_>) -> T,
+{
+    let mut gm = Gmem::untraced();
+    for (t, slot) in chunk.iter_mut().enumerate() {
+        *slot = f(thread_ctx(cfg, block_idx, t), &mut gm);
+    }
+}
+
 /// Picks the block-sampling stride so that at most [`MAX_SAMPLED_THREADS`]
-/// threads are traced.
+/// threads are sampled.
 fn sample_every(cfg: LaunchConfig) -> usize {
     let max_blocks = (MAX_SAMPLED_THREADS / cfg.block_dim as u64).max(1);
     (cfg.grid_dim as u64).div_ceil(max_blocks).max(1) as usize
@@ -1194,6 +1253,122 @@ mod tests {
             "extrapolated traffic off by {ratio}"
         );
         assert!(rec.stats.sampled_warps < rec.stats.warps);
+    }
+
+    /// Launches `out[tid] = in[tid] + in[(tid · 7919) mod n]` — a
+    /// coalesced default-path read, a scattered `__ldg` and the store —
+    /// traced, then priced by a pricer that lists the same addresses per
+    /// warp, and returns both records' stats.
+    fn traced_and_priced(n: usize) -> (KernelStats, KernelStats) {
+        use crate::trace::{warp_transactions, TxnPolicy, LINE_BYTES, SEGMENT_BYTES};
+        let dev = GpuDevice::new(DeviceSpec::tesla_k20x());
+        let input = DeviceBuffer::from_host(&(0..n as u64).collect::<Vec<_>>());
+        let mut out: DeviceBuffer<u64> = DeviceBuffer::zeroed(n);
+        let cfg = LaunchConfig::for_elements(n, 256);
+        let scatter = |tid: usize| tid * 7919 % n;
+        let body = |ctx: ThreadCtx, gm: &mut Gmem<'_>| {
+            let tid = ctx.global_id();
+            gm.flops(1);
+            gm.ld(&input, tid) + gm.ld_ro(&input, scatter(tid))
+        };
+        dev.try_launch_map("k", cfg, DEFAULT_STREAM, &mut out, body)
+            .expect("launch on a fault-free device");
+        let traced_out = out.peek();
+        let out_base = out.base_addr();
+        let price = |first: usize, lanes: usize| {
+            let tids = first..first + lanes;
+            let slots = [
+                (
+                    tids.clone().map(|t| input.addr_of(t)).collect::<Vec<_>>(),
+                    TxnPolicy::CachedLine,
+                ),
+                (
+                    tids.clone().map(|t| input.addr_of(scatter(t))).collect(),
+                    TxnPolicy::Segmented,
+                ),
+                (
+                    tids.map(|t| out_base + 8 * t as u64).collect(),
+                    TxnPolicy::Segmented,
+                ),
+            ];
+            let mut cost = WarpCost {
+                mem_ops: 3 * lanes as u64,
+                flops: lanes as u64,
+                ..WarpCost::default()
+            };
+            for (addrs, policy) in slots {
+                let lanes: Vec<(u64, u32)> = addrs.into_iter().map(|a| (a, 8)).collect();
+                let t =
+                    warp_transactions(&lanes, LINE_BYTES as usize, SEGMENT_BYTES as usize, policy);
+                cost.transactions += t.transactions;
+                cost.bytes += t.bytes;
+            }
+            cost
+        };
+        dev.try_launch_map_priced("k", cfg, DEFAULT_STREAM, &mut out, body, price)
+            .expect("launch on a fault-free device");
+        assert_eq!(
+            out.peek(),
+            traced_out,
+            "both launches compute the same values"
+        );
+        let records = dev.records();
+        (records[0].stats.clone(), records[1].stats.clone())
+    }
+
+    #[test]
+    fn priced_launch_matches_tracer_unsampled_and_sampled() {
+        // 1000 threads: every block priced, partial last block and warp.
+        // 100 003 threads: past MAX_SAMPLED_THREADS, so sample_every > 1.
+        for n in [1000, 100_003] {
+            let (traced, priced) = traced_and_priced(n);
+            assert_eq!(format!("{traced:?}"), format!("{priced:?}"), "n = {n}");
+            assert_eq!(
+                traced.sampled_warps < traced.warps,
+                n as u64 > MAX_SAMPLED_THREADS,
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn priced_launch_faults_like_a_traced_one() {
+        // Same fault plan, same launch sequence: the priced entry consumes
+        // the same fault ordinals as `try_launch_map`, and a failed launch
+        // leaves `out` untouched.
+        let run = |priced: bool| -> (Vec<bool>, Vec<String>) {
+            let dev = GpuDevice::new(DeviceSpec::test_tiny());
+            dev.install_fault_plan(FaultConfig::uniform(5, 0.3));
+            let cfg = LaunchConfig::for_elements(256, 64);
+            let outcomes = (0..32)
+                .map(|_| {
+                    let mut out: DeviceBuffer<u32> = DeviceBuffer::zeroed(256);
+                    let body = |ctx: ThreadCtx, _: &mut Gmem<'_>| ctx.global_id() as u32 + 1;
+                    let r = if priced {
+                        dev.try_launch_map_priced(
+                            "k",
+                            cfg,
+                            DEFAULT_STREAM,
+                            &mut out,
+                            body,
+                            |_, _| WarpCost::default(),
+                        )
+                    } else {
+                        dev.try_launch_map("k", cfg, DEFAULT_STREAM, &mut out, body)
+                    };
+                    let untouched = out.as_slice().iter().all(|&v| v == 0);
+                    assert_eq!(r.is_err(), untouched, "a launch runs all blocks or none");
+                    r.is_err()
+                })
+                .collect();
+            let labels = dev.ops().into_iter().map(|o| o.label).collect();
+            (outcomes, labels)
+        };
+        let (traced, traced_ops) = run(false);
+        let (priced, priced_ops) = run(true);
+        assert!(traced.contains(&true) && traced.contains(&false));
+        assert_eq!(priced, traced);
+        assert_eq!(priced_ops, traced_ops);
     }
 
     #[test]

@@ -60,3 +60,4 @@ pub use timeline::{
     concurrency_profile, merge_op_groups, schedule, ConcurrencyProfile, Engine, Op, Schedule,
     StreamId, StreamOccupancy,
 };
+pub use trace::WarpCost;

@@ -12,6 +12,13 @@
 //! [`BlockTally`] per sampled block survives the block; nothing is stored
 //! per thread. This is what gives the simulator its sensitivity to the
 //! paper's coalescing optimisations.
+//!
+//! The coalescer is the general mechanism. A kernel whose address stream
+//! is a closed-form function of the thread id may instead price its own
+//! warps ([`WarpCost`], through
+//! [`crate::GpuDevice::try_launch_map_priced`]); `price_block` folds
+//! those per-warp costs into the same `BlockTally` a traced block leaves,
+//! and [`WarpTxn::from_counts`] applies the same per-slot rule.
 
 use std::cell::Cell;
 
@@ -82,10 +89,10 @@ impl AccessKind {
 pub const ACC_UNROLL: f32 = 1.0;
 
 /// Width of the cache line the default load path fetches, in bytes.
-const LINE_BYTES: u64 = 128;
+pub const LINE_BYTES: u64 = 128;
 
 /// Width of the segment the fine-grained paths issue, in bytes.
-const SEGMENT_BYTES: u64 = 32;
+pub const SEGMENT_BYTES: u64 = 32;
 
 /// Result of coalescing analysis for one warp-level instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,6 +101,25 @@ pub struct WarpTxn {
     pub transactions: u64,
     /// Bytes of DRAM traffic generated.
     pub bytes: u64,
+}
+
+impl WarpTxn {
+    /// Prices one warp instruction that touches `segs` distinct
+    /// [`SEGMENT_BYTES`] segments lying in `lines` distinct [`LINE_BYTES`]
+    /// lines — the rule the coalescer applies to every slot.
+    pub fn from_counts(segs: u64, lines: u64, policy: TxnPolicy) -> WarpTxn {
+        select(segs, lines, LINE_BYTES, SEGMENT_BYTES, policy)
+    }
+
+    /// Prices one warp instruction from the ids (`addr / SEGMENT_BYTES`)
+    /// of the segments its lanes touch, in any order and with repeats;
+    /// sorts `ids` in place. Allocation-free, for kernels that price their
+    /// own warps.
+    pub fn from_segments(ids: &mut [u64], policy: TxnPolicy) -> WarpTxn {
+        ids.sort_unstable();
+        let (segs, lines) = count_sorted(ids, LINE_BYTES / SEGMENT_BYTES);
+        Self::from_counts(segs, lines, policy)
+    }
 }
 
 /// How a warp memory instruction is serviced.
@@ -153,6 +179,13 @@ fn price(
         let (lines, _) = distinct_segments(addrs, line, 1, scratch);
         (distinct_segments(addrs, seg, 1, scratch).0, lines)
     };
+    select(segs, lines, line, seg, policy)
+}
+
+/// Charges `lines` whole lines under [`TxnPolicy::CachedLine`], and the
+/// cheaper of the lines and the `segs` segments under
+/// [`TxnPolicy::Segmented`].
+fn select(segs: u64, lines: u64, line: u64, seg: u64, policy: TxnPolicy) -> WarpTxn {
     let line_bytes = lines * line;
     let seg_bytes = segs * seg;
     if policy == TxnPolicy::CachedLine || line_bytes <= seg_bytes {
@@ -191,9 +224,15 @@ fn distinct_segments(
     if !ascending {
         ids.sort_unstable();
     }
+    count_sorted(ids, per_line)
+}
+
+/// Counts the distinct ids in the ascending `ids`, and the distinct groups
+/// of `per_line` consecutive ids among them.
+fn count_sorted(ids: &[u64], per_line: u64) -> (u64, u64) {
     let (mut segs, mut lines) = (0, 0);
     let (mut prev_seg, mut prev_line) = (None, None);
-    for &s in ids.iter() {
+    for &s in ids {
         if prev_seg != Some(s) {
             segs += 1;
             prev_seg = Some(s);
@@ -227,6 +266,25 @@ pub(crate) struct BlockTally {
     pub warps: u64,
     /// Address of every atomic the block issued, in issue order.
     pub atomic_addrs: Vec<u64>,
+}
+
+/// What one warp contributes to its block's tally when the kernel prices
+/// its own warps instead of being traced (see
+/// [`crate::GpuDevice::try_launch_map_priced`]). The fields are the ones a
+/// traced warp adds to its block's tally.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct WarpCost {
+    /// DRAM transactions of the warp's instructions.
+    pub transactions: u64,
+    /// DRAM bytes of the warp's instructions.
+    pub bytes: u64,
+    /// Memory instructions that reach DRAM, summed over the lanes (cached
+    /// accesses excluded).
+    pub mem_ops: u64,
+    /// Double-precision flops, summed over the lanes.
+    pub flops: u64,
+    /// Weighted dependence-chain length, summed over the lanes.
+    pub chain: f64,
 }
 
 /// One slot of the warp's instruction table.
@@ -360,6 +418,33 @@ pub(crate) fn trace_block(
     }
     let tally = co.take_tally();
     COALESCER.set(co);
+    tally
+}
+
+/// Builds the tally of a block of `threads` threads starting at global
+/// thread id `first_tid` from its warps' prices: `price(first, lanes)` is
+/// called once per warp, in order, and the warps split exactly as in
+/// [`trace_block`] (a short block ends in a partial warp).
+pub(crate) fn price_block(
+    warp_size: u32,
+    first_tid: usize,
+    threads: usize,
+    price: impl Fn(usize, usize) -> WarpCost,
+) -> BlockTally {
+    let warp = warp_size as usize;
+    let mut tally = BlockTally {
+        threads: threads as u64,
+        ..BlockTally::default()
+    };
+    for w0 in (0..threads).step_by(warp) {
+        let c = price(first_tid + w0, warp.min(threads - w0));
+        tally.transactions += c.transactions;
+        tally.bytes += c.bytes;
+        tally.mem_ops += c.mem_ops;
+        tally.flops += c.flops;
+        tally.chain_sum += c.chain;
+        tally.warps += 1;
+    }
     tally
 }
 

@@ -143,6 +143,27 @@ fn benchmark_geometry_identical_across_pool_sizes() {
     }
 }
 
+#[test]
+fn locate_geometry_identical_across_pool_sizes() {
+    // The `reproduce hostperf` point (n = 2^14, k = 100). Many threshold
+    // crossings per `locate` launch: a hit slot that came from the order
+    // in which host threads reached the cursor would move the traced
+    // stores, and with them the kernel's transactions, with the pool width.
+    let reference = with_pool(1, || run_once(Variant::Optimized, 14, 100, 7));
+    assert!(reference.records.iter().any(|r| r.contains("\"locate\"")));
+    for threads in POOL_SIZES {
+        let run = with_pool(threads, || run_once(Variant::Optimized, 14, 100, 7));
+        assert_eq!(
+            run.records, reference.records,
+            "per-kernel KernelStats must not depend on pool width ({threads})"
+        );
+        assert_eq!(
+            run.ops, reference.ops,
+            "op timeline must not depend on pool width ({threads})"
+        );
+    }
+}
+
 /// A small mixed-geometry batch for the serving-layer check.
 fn batch() -> Vec<ServeRequest> {
     let geometries = [(1usize << 10, 4), (1usize << 11, 8), (1usize << 10, 4)];
