@@ -639,8 +639,8 @@ fn throughput(opts: &Opts, seed: u64) {
     write_json(opts, "BENCH_serve_throughput.json", &doc);
 }
 
-/// Extension: pluggable execution backends — the same batch served
-/// through every backend in the default registry, with per-backend
+/// Extension: execution backends — the same batch served through
+/// every backend, with per-backend
 /// capability flags, admission-pricer estimates, merged-timeline
 /// makespan and accuracy against the dense-FFT oracle. Emits
 /// `BENCH_backends.json`.

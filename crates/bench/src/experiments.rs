@@ -634,30 +634,28 @@ pub struct ThroughputPoint {
 }
 
 /// Serves the standard batch twice — direct remap, then tiled — through
-/// engines whose GPU backend pins the flavour, and reads throughput,
+/// engines that pin the flavour, and reads throughput,
 /// transaction and pool counters off the reports' telemetry rollups.
 /// Spectra are bit-identical between the two rows (pinned by
 /// `tests/remap_differential`); only the modeled cost moves.
 pub fn throughput_sweep(log2_n: u32, k: usize, batch: usize, seed: u64) -> Vec<ThroughputPoint> {
-    use cusfft::{BackendRegistry, GpuSimBackend, RemapKind, SfftCpuBackend};
+    use cusfft::RemapKind;
 
     let requests = serve_requests(log2_n, k, batch, seed);
     let step = ["remap", "remap_tiled", "exec", "exec_tiled"];
     [("direct", RemapKind::Direct), ("tiled", RemapKind::Tiled)]
         .iter()
         .map(|&(label, kind)| {
-            let mut registry = BackendRegistry::empty();
-            registry.register(Arc::new(GpuSimBackend { remap: Some(kind) }));
-            registry.register(Arc::new(SfftCpuBackend));
-            let engine = cusfft::ServeEngine::with_registry(
+            let engine = cusfft::ServeEngine::new(
                 DeviceSpec::tesla_k20x(),
                 cusfft::ServeConfig {
                     workers: 2,
                     cache_capacity: 8,
                     ..cusfft::ServeConfig::default()
                 },
-                registry,
-            ).expect("serve config is valid");
+            )
+            .expect("serve config is valid")
+            .with_remap(kind);
             let report = engine.serve_batch(&requests);
             let mut perm_txns = 0.0;
             let mut total_txns = 0.0;
@@ -876,11 +874,11 @@ pub fn breaker_vs_retry(log2_n: u32, k: usize, batch: usize, seed: u64) -> (f64,
 }
 
 /// One row of the backend comparison: the standard serving batch routed
-/// wholesale through a single registered backend (DESIGN.md §12).
+/// wholesale through a single backend (DESIGN.md §12).
 #[derive(Debug, Clone)]
 pub struct BackendPoint {
     pub backend: cusfft::BackendKind,
-    /// Capability report straight from the registry.
+    /// The backend's capability report ([`cusfft::BackendKind::caps`]).
     pub caps: cusfft::BackendCaps,
     pub requests: usize,
     pub groups: usize,
@@ -896,15 +894,13 @@ pub struct BackendPoint {
     pub oracle_recall: f64,
 }
 
-/// Serves the same batch once per registered backend and scores every
-/// backend against the dense oracle's spectra. The registry is the only
-/// source of backends — the sweep exercises exactly the serving-layer
-/// selection path that `tests/backend_differential.rs` pins.
+/// Serves the same batch once per backend and scores every backend
+/// against the dense oracle's spectra — the serving-layer selection path
+/// that `tests/backend_differential.rs` pins.
 pub fn backend_sweep(log2_n: u32, k: usize, batch: usize, seed: u64) -> Vec<BackendPoint> {
-    use cusfft::{BackendKind, BackendRegistry, ServeConfig, ServeEngine, ServeReport};
+    use cusfft::{BackendKind, ServeConfig, ServeEngine, ServeReport};
 
     let base = serve_requests(log2_n, k, batch, seed);
-    let registry = BackendRegistry::with_defaults();
     let spec = DeviceSpec::tesla_k20x();
     let serve = |kind: BackendKind| -> ServeReport {
         let reqs: Vec<_> = base.iter().cloned().map(|r| r.with_backend(kind)).collect();
@@ -924,11 +920,9 @@ pub fn backend_sweep(log2_n: u32, k: usize, batch: usize, seed: u64) -> Vec<Back
     let model_dev = cusfft::backend::worker_device(&spec, None);
     let params = SfftParams::tuned(1 << log2_n, k);
 
-    registry
-        .kinds()
+    BackendKind::all()
         .into_iter()
         .map(|kind| {
-            let backend = registry.get(kind).expect("default registry is total");
             let report = if kind == BackendKind::DenseFft {
                 oracle.clone()
             } else {
@@ -943,11 +937,11 @@ pub fn backend_sweep(log2_n: u32, k: usize, batch: usize, seed: u64) -> Vec<Back
             let count = oracle_spectra.len().max(1) as f64;
             BackendPoint {
                 backend: kind,
-                caps: backend.capabilities(),
+                caps: kind.caps(),
                 requests: base.len(),
                 groups: report.groups,
                 makespan: report.makespan,
-                est_service: backend.estimate_cost(&model_dev, &spec, &params),
+                est_service: kind.estimate_cost(&model_dev, &spec, &params),
                 l1_vs_oracle: l1 / count,
                 oracle_recall: recall / count,
             }

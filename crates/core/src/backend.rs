@@ -1,29 +1,29 @@
-//! Pluggable execution backends for the serving layer.
+//! The execution backends of the serving layer.
 //!
 //! The paper's headline claim is comparative — one algorithm (sFFT on
 //! the GPU) against dense FFT and CPU sFFT across a regime of `(n, k)`
-//! — but the pipeline used to be hard-wired to `gpu-sim` with a
-//! bolted-on CPU degradation path. This module turns "how a plan
-//! executes" into a first-class, registered capability, modeled on
-//! wasmtime's wasi-nn backend registry: a small fixed enum of backend
-//! kinds, an `Arc<dyn Backend>` slot per kind, and lookup by kind at
-//! plan-build time. Three backends ship:
+//! — so a request names which of those three implementations serves it
+//! ([`BackendKind`], part of the plan key), and the plan cache holds one
+//! [`ExecutePlan`] per key. The set is closed: [`ExecutePlan`] is an
+//! enum with one arm for the device pipeline and one for host work.
 //!
-//! * [`GpuSimBackend`] — the cusFFT pipeline on the simulated device
-//!   (the paper's subject). Op sequences are bit-identical to the
-//!   pre-registry serving layer.
-//! * [`SfftCpuBackend`] — the CPU reference sFFT. Runs as host work
-//!   (one zero-duration host op marks the execution on the timeline),
-//!   so injected device faults cannot touch it: re-routing a request
-//!   here *is* the degradation tier.
-//! * [`DenseFftBackend`] — a brute-force dense-FFT oracle that keeps
-//!   the top-`k` coefficients. Exact up to floating-point, used by the
-//!   differential conformance suite as ground truth.
+//! * [`BackendKind::GpuSim`] — the cusFFT pipeline on the simulated
+//!   device (the paper's subject), [`ExecutePlan::GpuSim`].
+//! * [`BackendKind::SfftCpu`] — the CPU reference sFFT. Runs as host
+//!   work (one zero-duration host op marks the execution on the
+//!   timeline), so injected device faults cannot touch it: re-routing a
+//!   request here *is* the degradation tier.
+//! * [`BackendKind::DenseFft`] — a brute-force dense-FFT oracle that
+//!   keeps the top-`k` coefficients. Exact up to floating-point, used by
+//!   the differential conformance suite as ground truth.
+//!
+//! The two host kinds share [`ExecutePlan::Host`]; a dense-FFT plan is
+//! the one that carries a dense [`fft::Plan`].
 //!
 //! ## Exactness classes
 //!
-//! Each backend's [`BackendCaps`] documents its contract with the
-//! conformance suite (`tests/backend_differential.rs`):
+//! Each kind's [`BackendCaps`] ([`BackendKind::caps`]) documents its
+//! contract with the conformance suite (`tests/backend_differential.rs`):
 //!
 //! * `exact_vs_direct` — serving a request through [`ServeEngine`]
 //!   must reproduce [`execute_direct`] *bit-for-bit* (true for every
@@ -35,19 +35,19 @@
 //!
 //! ## Determinism obligations
 //!
-//! A backend must be a pure function of `(params, variant, signal,
-//! seed)` given a device state: no wall clocks, no ambient randomness,
-//! no dependence on which worker thread runs it. Host-side backends
-//! must only enqueue infallible host ops so fault plans cannot alter
-//! their results.
+//! Every plan is a pure function of `(params, variant, signal, seed)`
+//! given a device state: no wall clocks, no ambient randomness, no
+//! dependence on which worker thread runs it. Host plans only enqueue
+//! infallible host ops, so fault plans cannot alter their results.
 //!
 //! [`ServeEngine`]: crate::serve::ServeEngine
 
-use std::any::Any;
 use std::sync::Arc;
 
 use fft::cplx::Cplx;
-use gpu_sim::{transfer_time, DeviceBuffer, DeviceSpec, FaultConfig, GpuDevice, StreamId};
+use gpu_sim::{
+    transfer_time, DeviceBuffer, DeviceSpec, FaultConfig, GpuDevice, PooledBuffer, StreamId,
+};
 use sfft_cpu::{SfftParams, Tuning};
 use signal::Recovered;
 
@@ -72,9 +72,13 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Every kind, in registry-slot order.
+    /// Every kind, in declaration order.
     pub fn all() -> [BackendKind; 3] {
-        [BackendKind::GpuSim, BackendKind::SfftCpu, BackendKind::DenseFft]
+        [
+            BackendKind::GpuSim,
+            BackendKind::SfftCpu,
+            BackendKind::DenseFft,
+        ]
     }
 
     /// Stable label used as a telemetry dimension (`backend:<kind>`).
@@ -91,20 +95,45 @@ impl BackendKind {
         }
     }
 
-    /// Registry slot index.
-    fn slot(self) -> usize {
+    /// The kind's capability report.
+    pub fn caps(self) -> BackendCaps {
+        let device = self == BackendKind::GpuSim;
+        BackendCaps {
+            kind: self,
+            exact_vs_direct: true,
+            uses_device: device,
+            batched_ffts: device,
+            oracle_bound: match self {
+                BackendKind::GpuSim | BackendKind::SfftCpu => ORACLE_BOUND_SFFT,
+                BackendKind::DenseFft => 0.0,
+            },
+        }
+    }
+
+    /// Predicted service seconds for one request under `p`, used by the
+    /// overload layer's deadline/queue admission model and the fleet's
+    /// router. A pure function of its arguments.
+    pub fn estimate_cost(self, model_dev: &GpuDevice, spec: &DeviceSpec, p: &SfftParams) -> f64 {
         match self {
-            BackendKind::GpuSim => 0,
-            BackendKind::SfftCpu => 1,
-            BackendKind::DenseFft => 2,
+            // The analytic service model: both batched cuFFT sides (×2
+            // for the surrounding kernels, calibrated against the step
+            // breakdown) plus the input transfer.
+            BackendKind::GpuSim => {
+                2.0 * (cufft_model_time(model_dev, p.b_loc, p.loops_loc)
+                    + cufft_model_time(model_dev, p.b_est, p.loops_est))
+                    + transfer_time(spec, p.n * std::mem::size_of::<Cplx>())
+            }
+            BackendKind::SfftCpu => p.host_work_estimate() / HOST_OP_RATE,
+            BackendKind::DenseFft => {
+                let n = p.n as f64;
+                n * n.log2().max(1.0) / HOST_OP_RATE
+            }
         }
     }
 }
 
 /// A backend's capability report: its exactness class and execution
 /// shape, as documented contracts the conformance suite enforces.
-/// Reports must be deterministic — repeated calls to
-/// [`Backend::capabilities`] return equal values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendCaps {
     /// The backend this report describes.
@@ -124,262 +153,272 @@ pub struct BackendCaps {
     pub oracle_bound: f64,
 }
 
+/// Per-coefficient ℓ1 bound vs. the dense oracle for the sFFT
+/// recoveries (GPU and CPU alike), matching the accuracy floor pinned
+/// by the end-to-end tests (`l1_error_per_coeff < 1e-3`).
+pub const ORACLE_BOUND_SFFT: f64 = 1e-3;
+
+/// Abstract host operations per second the admission pricer assumes
+/// when converting [`SfftParams::host_work_estimate`] to seconds.
+const HOST_OP_RATE: f64 = 1e9;
+
 /// Opaque per-request state between [`ExecutePlan::prepare`] and
-/// [`ExecutePlan::finish`]. Each backend stores its own concrete type;
-/// the serving layer only moves it around.
-pub struct PreparedState(Box<dyn Any + Send>);
+/// [`ExecutePlan::finish`]; the serving layer only moves it around.
+pub struct PreparedState(Prepared);
+
+enum Prepared {
+    /// The device-resident signal (kept alive so its memory reservation
+    /// spans the whole attempt) plus the filtered bucket buffers. The
+    /// signal is drawn from the worker arena, so in steady state its
+    /// upload is a free-list hit.
+    Gpu {
+        _signal: PooledBuffer<Cplx>,
+        prep: PreparedRequest,
+    },
+    /// The spectrum a host plan computed eagerly in `prepare`.
+    Host(Recovered),
+}
 
 impl PreparedState {
-    fn new<T: Any + Send>(state: T) -> Self {
-        PreparedState(Box::new(state))
-    }
-
-    fn downcast_ref<T: Any>(&self) -> &T {
-        self.0
-            .downcast_ref()
-            .expect("prepared state fed back to the backend that produced it")
-    }
-
-    fn downcast_mut<T: Any>(&mut self) -> &mut T {
-        self.0
-            .downcast_mut()
-            .expect("prepared state fed back to the backend that produced it")
+    /// The device pipeline's state, or a typed error for a host plan's.
+    fn gpu(&self) -> Result<&PreparedRequest, CusFftError> {
+        match &self.0 {
+            Prepared::Gpu { prep, .. } => Ok(prep),
+            Prepared::Host(_) => Err(foreign_state()),
+        }
     }
 }
 
-/// An executable plan produced by a [`Backend`]: the three-phase
-/// execution surface the serving layer drives. The phase split mirrors
-/// the cusFFT pipeline (front half / batched FFTs / back half); host
-/// backends complete their work in `prepare` and treat the FFT phase
-/// as a no-op.
-pub trait ExecutePlan: Send + Sync {
-    /// Which backend built this plan.
-    fn backend(&self) -> BackendKind;
-    /// The sFFT parameters the plan was built for.
-    fn params(&self) -> &SfftParams;
-    /// The implementation tier.
-    fn variant(&self) -> Variant;
-    /// Auxiliary streams one execution wants (0 for host backends).
-    fn num_streams(&self) -> usize;
-    /// Front half: ingest `time` and run everything up to the batched
-    /// FFT barrier. Includes the signal upload for device backends.
-    fn prepare(
-        &self,
-        device: &GpuDevice,
-        time: &[Cplx],
-        seed: u64,
-        streams: &ExecStreams,
-    ) -> Result<PreparedState, CusFftError>;
-    /// The batched-FFT barrier over every prepared request in `group`.
-    fn run_batched_ffts(
-        &self,
-        device: &GpuDevice,
-        group: &mut [&mut PreparedState],
-        stream: StreamId,
-    ) -> Result<(), CusFftError>;
-    /// Back half: produce the sorted sparse spectrum and hit count.
-    fn finish(
-        &self,
-        device: &GpuDevice,
-        prep: &PreparedState,
-        streams: &ExecStreams,
-    ) -> Result<(Recovered, usize), CusFftError>;
-    /// Pre-sizes per-worker scratch pools for a group of `group_size`
-    /// same-shape requests, so steady-state acquisitions are free-list
-    /// hits with zero `MemPool` traffic. Host backends (and backends
-    /// without pooled scratch) need nothing.
-    fn warm(
-        &self,
-        _device: &GpuDevice,
-        _streams: &ExecStreams,
-        _group_size: usize,
-    ) -> Result<(), CusFftError> {
-        Ok(())
-    }
-    /// Charges one aggregated host-to-device staging transfer for the
-    /// group's combined signal payload of `bytes`, instead of paying
-    /// per-request PCIe latency. Host backends transfer nothing.
-    fn stage_group(
-        &self,
-        _device: &GpuDevice,
-        _bytes: usize,
-        _stream: StreamId,
-    ) -> Result<(), CusFftError> {
-        Ok(())
-    }
-    /// Back half over every surviving request of a group, letting the
-    /// backend aggregate device-to-host transfers. Returns one result
-    /// per entry of `preps`, in order. The default finishes requests
-    /// one at a time.
-    fn finish_group(
-        &self,
-        device: &GpuDevice,
-        preps: &[&PreparedState],
-        streams: &ExecStreams,
-    ) -> Vec<Result<(Recovered, usize), CusFftError>> {
-        preps
-            .iter()
-            .map(|p| self.finish(device, p, streams))
-            .collect()
+/// The failure of a plan handed another backend's prepared state.
+fn foreign_state() -> CusFftError {
+    CusFftError::BadRequest {
+        reason: "prepared state came from a plan of another backend".into(),
     }
 }
 
-/// An execution backend: builds [`ExecutePlan`]s for plan keys and
-/// prices requests for the admission-control layer.
-pub trait Backend: Send + Sync {
-    /// The kind this backend registers as.
-    fn kind(&self) -> BackendKind;
-    /// The backend's capability report (deterministic across calls).
-    fn capabilities(&self) -> BackendCaps;
+/// An executable plan: the three-phase execution surface the serving
+/// layer drives. The phase split mirrors the cusFFT pipeline (front
+/// half / batched FFTs / back half); host plans complete their work in
+/// `prepare` and treat the FFT phase as a no-op.
+pub enum ExecutePlan {
+    /// The cusFFT pipeline on the simulated device.
+    GpuSim(Box<CusFft>),
+    /// Host work: the CPU reference sFFT, or — with a `dense` plan — the
+    /// dense-FFT oracle that keeps the `k` largest coefficients
+    /// ([`fft::Plan::forward_coefficients`], the convention sFFT
+    /// recovers in).
+    Host {
+        params: Arc<SfftParams>,
+        variant: Variant,
+        dense: Option<fft::Plan>,
+    },
+}
+
+impl ExecutePlan {
     /// Builds the plan for `key` — default tuning for
     /// [`ServeQos::Full`], [`Tuning::degraded`] for
     /// [`ServeQos::Degraded`]. `device` hosts plan-lifetime state
-    /// (filter uploads) for device backends.
-    fn build_plan(&self, device: &Arc<GpuDevice>, key: PlanKey) -> Arc<dyn ExecutePlan>;
-    /// Predicted service seconds for one request under `params`, used
-    /// by the overload layer's deadline/queue admission model. Must be
-    /// a pure function of its arguments.
-    fn estimate_cost(&self, model_dev: &GpuDevice, spec: &DeviceSpec, params: &SfftParams) -> f64;
-}
-
-/// The tuning a key's QoS tier asks for.
-fn tuning_for(qos: ServeQos) -> Tuning {
-    match qos {
-        ServeQos::Full => Tuning::default(),
-        ServeQos::Degraded => Tuning::default().degraded(),
-    }
-}
-
-fn params_for(key: PlanKey) -> Arc<SfftParams> {
-    Arc::new(SfftParams::with_tuning(key.n, key.k, tuning_for(key.qos)))
-}
-
-// ---------------------------------------------------------------------
-// GpuSimBackend
-// ---------------------------------------------------------------------
-
-/// The cusFFT pipeline on the simulated device — the current (and
-/// default) serving path.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GpuSimBackend {
-    /// Forces the permutation remap kernel for plans this backend
-    /// builds. `None` (the default) lets each plan pick by modeled
-    /// DRAM-transaction count (see `choose_remap`); the differential
-    /// suite pins both forced variants bit-identical.
-    pub remap: Option<RemapKind>,
-}
-
-/// Prepared state of the GPU path: the device-resident signal (kept
-/// alive so its memory reservation spans the whole attempt) plus the
-/// filtered bucket buffers. The signal is drawn from the worker arena,
-/// so in steady state its upload is a free-list hit.
-struct GpuPrepared {
-    _signal: gpu_sim::PooledBuffer<Cplx>,
-    prep: PreparedRequest,
-}
-
-impl ExecutePlan for CusFft {
-    fn backend(&self) -> BackendKind {
-        BackendKind::GpuSim
+    /// (filter uploads) for the device pipeline; `remap` forces its
+    /// permutation remap kernel (`None` lets each plan pick by modeled
+    /// DRAM-transaction count, see `choose_remap`).
+    pub fn build(device: &Arc<GpuDevice>, key: PlanKey, remap: Option<RemapKind>) -> Self {
+        let tuning = match key.qos {
+            ServeQos::Full => Tuning::default(),
+            ServeQos::Degraded => Tuning::default().degraded(),
+        };
+        let params = Arc::new(SfftParams::with_tuning(key.n, key.k, tuning));
+        match key.backend {
+            BackendKind::GpuSim => {
+                let mut plan = CusFft::new(Arc::clone(device), params, key.variant);
+                if let Some(kind) = remap {
+                    plan = plan.with_remap(kind);
+                }
+                ExecutePlan::GpuSim(Box::new(plan))
+            }
+            BackendKind::SfftCpu => ExecutePlan::Host {
+                params,
+                variant: key.variant,
+                dense: None,
+            },
+            BackendKind::DenseFft => ExecutePlan::Host {
+                params,
+                variant: key.variant,
+                dense: Some(fft::Plan::new(key.n)),
+            },
+        }
     }
 
-    fn params(&self) -> &SfftParams {
-        CusFft::params(self)
+    /// Which backend built this plan.
+    pub fn backend(&self) -> BackendKind {
+        match self {
+            ExecutePlan::GpuSim(_) => BackendKind::GpuSim,
+            ExecutePlan::Host { dense: None, .. } => BackendKind::SfftCpu,
+            ExecutePlan::Host { dense: Some(_), .. } => BackendKind::DenseFft,
+        }
     }
 
-    fn variant(&self) -> Variant {
-        CusFft::variant(self)
+    /// The sFFT parameters the plan was built for.
+    pub fn params(&self) -> &SfftParams {
+        match self {
+            ExecutePlan::GpuSim(plan) => plan.params(),
+            ExecutePlan::Host { params, .. } => params,
+        }
     }
 
-    fn num_streams(&self) -> usize {
-        CusFft::num_streams(self)
+    /// The implementation tier.
+    pub fn variant(&self) -> Variant {
+        match self {
+            ExecutePlan::GpuSim(plan) => plan.variant(),
+            ExecutePlan::Host { variant, .. } => *variant,
+        }
     }
 
-    fn prepare(
+    /// Auxiliary streams one execution wants (0 for host plans).
+    pub fn num_streams(&self) -> usize {
+        match self {
+            ExecutePlan::GpuSim(plan) => plan.num_streams(),
+            ExecutePlan::Host { .. } => 0,
+        }
+    }
+
+    /// Front half: ingest `time` and run everything up to the batched
+    /// FFT barrier. Includes the signal upload for the device pipeline.
+    pub fn prepare(
         &self,
         device: &GpuDevice,
         time: &[Cplx],
         seed: u64,
         streams: &ExecStreams,
     ) -> Result<PreparedState, CusFftError> {
-        // Signal upload first (memory reserved; the PCIe cost is charged
-        // group-wide by `stage_group`), then the front half.
-        let signal = device.try_resident_pooled(&streams.arena.cplx, time, streams.main)?;
-        let prep = CusFft::prepare(self, device, &signal, seed, streams)?;
-        Ok(PreparedState::new(GpuPrepared {
-            _signal: signal,
-            prep,
-        }))
+        let state = match self {
+            ExecutePlan::GpuSim(plan) => {
+                // Signal upload first (memory reserved; the PCIe cost is
+                // charged group-wide by `stage_group`), then the front
+                // half.
+                let signal = device.try_resident_pooled(&streams.arena.cplx, time, streams.main)?;
+                let prep = plan.prepare(device, &signal, seed, streams)?;
+                Prepared::Gpu {
+                    _signal: signal,
+                    prep,
+                }
+            }
+            ExecutePlan::Host { params, dense, .. } => {
+                if time.len() != params.n {
+                    return Err(CusFftError::BadRequest {
+                        reason: format!(
+                            "signal length {} must match params.n {}",
+                            time.len(),
+                            params.n
+                        ),
+                    });
+                }
+                // One infallible host marker keeps the execution visible
+                // on the merged timeline without rolling any fault gates.
+                device.charge_host_op(self.backend().label(), 0.0, streams.main);
+                Prepared::Host(match dense {
+                    None => sfft_cpu::sfft(params, time, seed),
+                    Some(plan) => top_k(&plan.forward_coefficients(time), params.k),
+                })
+            }
+        };
+        Ok(PreparedState(state))
     }
 
-    fn run_batched_ffts(
+    /// The batched-FFT barrier over every prepared request in `group`.
+    pub fn run_batched_ffts(
         &self,
         device: &GpuDevice,
         group: &mut [&mut PreparedState],
         stream: StreamId,
     ) -> Result<(), CusFftError> {
-        let mut preps: Vec<&mut PreparedRequest> = group
+        let ExecutePlan::GpuSim(plan) = self else {
+            return Ok(());
+        };
+        let mut preps = group
             .iter_mut()
-            .map(|s| &mut s.downcast_mut::<GpuPrepared>().prep)
-            .collect();
-        CusFft::run_batched_ffts(self, device, &mut preps, stream)
+            .map(|s| match &mut s.0 {
+                Prepared::Gpu { prep, .. } => Ok(prep),
+                Prepared::Host(_) => Err(foreign_state()),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        plan.run_batched_ffts(device, &mut preps, stream)
     }
 
-    fn finish(
+    /// Back half: produce the sorted sparse spectrum and hit count.
+    pub fn finish(
         &self,
         device: &GpuDevice,
         prep: &PreparedState,
         streams: &ExecStreams,
     ) -> Result<(Recovered, usize), CusFftError> {
-        CusFft::finish(self, device, &prep.downcast_ref::<GpuPrepared>().prep, streams)
+        match (self, &prep.0) {
+            (ExecutePlan::GpuSim(plan), Prepared::Gpu { prep, .. }) => {
+                plan.finish(device, prep, streams)
+            }
+            (ExecutePlan::Host { .. }, Prepared::Host(rec)) => Ok((rec.clone(), rec.len())),
+            _ => Err(foreign_state()),
+        }
     }
 
-    fn warm(
+    /// Pre-sizes per-worker scratch pools for a group of `group_size`
+    /// same-shape requests, so steady-state acquisitions are free-list
+    /// hits with zero `MemPool` traffic. Host plans need nothing.
+    pub fn warm(
         &self,
         device: &GpuDevice,
         streams: &ExecStreams,
         group_size: usize,
     ) -> Result<(), CusFftError> {
-        CusFft::warm_arena(self, device, streams, group_size)
+        match self {
+            ExecutePlan::GpuSim(plan) => plan.warm_arena(device, streams, group_size),
+            ExecutePlan::Host { .. } => Ok(()),
+        }
     }
 
-    fn stage_group(
+    /// Charges one aggregated host-to-device staging transfer for the
+    /// group's combined signal payload of `bytes`, instead of paying
+    /// per-request PCIe latency. Host plans transfer nothing.
+    pub fn stage_group(
         &self,
         device: &GpuDevice,
         bytes: usize,
         stream: StreamId,
     ) -> Result<(), CusFftError> {
-        device.try_charge_htod("htod_group", bytes, stream)?;
+        if let ExecutePlan::GpuSim(_) = self {
+            device.try_charge_htod("htod_group", bytes, stream)?;
+        }
         Ok(())
     }
 
-    fn finish_group(
+    /// Back half over every surviving request of a group. Returns one
+    /// result per entry of `preps`, in order. The device pipeline runs
+    /// each request's compute, then copies the results of the whole
+    /// group back as one D2H pair; host plans finish one at a time.
+    pub fn finish_group(
         &self,
         device: &GpuDevice,
         preps: &[&PreparedState],
         streams: &ExecStreams,
     ) -> Vec<Result<(Recovered, usize), CusFftError>> {
+        let ExecutePlan::GpuSim(plan) = self else {
+            return preps
+                .iter()
+                .map(|p| self.finish(device, p, streams))
+                .collect();
+        };
         // Per-request device compute first; then the two result
         // transfers (hit indices + values) are concatenated across the
         // group and copied back as one D2H pair, replacing per-request
         // PCIe round-trips.
         let computed: Vec<Result<ComputedRequest, CusFftError>> = preps
             .iter()
-            .map(|p| {
-                CusFft::finish_compute(
-                    self,
-                    device,
-                    &p.downcast_ref::<GpuPrepared>().prep,
-                    streams,
-                )
-            })
+            .map(|p| plan.finish_compute(device, p.gpu()?, streams))
             .collect();
         // Per-constituent buffers through a grouped transfer: PCIe is
         // charged once for the aggregate, but fault/corruption gates
         // roll per request — batching must not launder SDC exposure.
         let survivors: Vec<&ComputedRequest> = computed.iter().flatten().collect();
-        let hits_bufs: Vec<&DeviceBuffer<u32>> =
-            survivors.iter().map(|fc| &fc.hits_buf).collect();
+        let hits_bufs: Vec<&DeviceBuffer<u32>> = survivors.iter().map(|fc| &fc.hits_buf).collect();
         let vals_bufs: Vec<DeviceBuffer<Cplx>> = survivors
             .iter()
             .map(|fc| DeviceBuffer::from_host(&fc.vals))
@@ -408,357 +447,26 @@ impl ExecutePlan for CusFft {
             .map(|(fc, p)| {
                 let fc = fc?;
                 let vals = per_req.next().expect("one transfer per survivor");
-                CusFft::finish_resolve(
-                    self,
-                    device,
-                    &p.downcast_ref::<GpuPrepared>().prep,
-                    &fc.hits,
-                    vals,
-                )
+                plan.finish_resolve(device, p.gpu()?, &fc.hits, vals)
             })
             .collect()
     }
 }
 
-impl Backend for GpuSimBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::GpuSim
-    }
-
-    fn capabilities(&self) -> BackendCaps {
-        BackendCaps {
-            kind: BackendKind::GpuSim,
-            exact_vs_direct: true,
-            uses_device: true,
-            batched_ffts: true,
-            oracle_bound: ORACLE_BOUND_SFFT,
-        }
-    }
-
-    fn build_plan(&self, device: &Arc<GpuDevice>, key: PlanKey) -> Arc<dyn ExecutePlan> {
-        let mut plan = CusFft::new(Arc::clone(device), params_for(key), key.variant);
-        if let Some(kind) = self.remap {
-            plan = plan.with_remap(kind);
-        }
-        Arc::new(plan)
-    }
-
-    fn estimate_cost(&self, model_dev: &GpuDevice, spec: &DeviceSpec, p: &SfftParams) -> f64 {
-        // The overload layer's analytic service model: both batched cuFFT
-        // sides (×2 for the surrounding kernels, calibrated against the
-        // step breakdown) plus the input transfer.
-        2.0 * (cufft_model_time(model_dev, p.b_loc, p.loops_loc)
-            + cufft_model_time(model_dev, p.b_est, p.loops_est))
-            + transfer_time(spec, p.n * std::mem::size_of::<Cplx>())
-    }
-}
-
-// ---------------------------------------------------------------------
-// SfftCpuBackend
-// ---------------------------------------------------------------------
-
-/// The CPU reference sFFT as an execution backend. Host-only: the one
-/// timeline op it enqueues is an infallible zero-duration host marker,
-/// so injected device faults cannot reach it — which is exactly why the
-/// serving layer re-routes fault-exhausted requests here.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SfftCpuBackend;
-
-/// Per-coefficient ℓ1 bound vs. the dense oracle for the sFFT
-/// recoveries (GPU and CPU alike), matching the accuracy floor pinned
-/// by the end-to-end tests (`l1_error_per_coeff < 1e-3`).
-pub const ORACLE_BOUND_SFFT: f64 = 1e-3;
-
-/// Abstract host operations per second the admission pricer assumes
-/// when converting [`SfftParams::host_work_estimate`] to seconds.
-const HOST_OP_RATE: f64 = 1e9;
-
-struct CpuPlan {
-    params: Arc<SfftParams>,
-    variant: Variant,
-}
-
-/// Spectrum computed eagerly in `prepare` by a host backend.
-struct HostRecovered(Recovered);
-
-impl SfftCpuBackend {
-    /// The backend's pure computation, callable without a plan or a
-    /// registry: the CPU reference recovery for `(params, time, seed)`.
-    /// The serving layer's fallback and worker-loss recovery paths use
-    /// this directly (bit-identical to serving through the backend) so
-    /// they never touch the plan cache from worker threads.
-    pub fn reference(params: &SfftParams, time: &[Cplx], seed: u64) -> Recovered {
-        sfft_cpu::sfft(params, time, seed)
-    }
-}
-
-impl ExecutePlan for CpuPlan {
-    fn backend(&self) -> BackendKind {
-        BackendKind::SfftCpu
-    }
-
-    fn params(&self) -> &SfftParams {
-        &self.params
-    }
-
-    fn variant(&self) -> Variant {
-        self.variant
-    }
-
-    fn num_streams(&self) -> usize {
-        0
-    }
-
-    fn prepare(
-        &self,
-        device: &GpuDevice,
-        time: &[Cplx],
-        seed: u64,
-        streams: &ExecStreams,
-    ) -> Result<PreparedState, CusFftError> {
-        if time.len() != self.params.n {
-            return Err(CusFftError::BadRequest {
-                reason: format!(
-                    "signal length {} must match params.n {}",
-                    time.len(),
-                    self.params.n
-                ),
-            });
-        }
-        // One infallible host marker keeps the execution visible on the
-        // merged timeline without rolling any fault gates.
-        device.charge_host_op("sfft_cpu", 0.0, streams.main);
-        Ok(PreparedState::new(HostRecovered(SfftCpuBackend::reference(
-            &self.params,
-            time,
-            seed,
-        ))))
-    }
-
-    fn run_batched_ffts(
-        &self,
-        _device: &GpuDevice,
-        _group: &mut [&mut PreparedState],
-        _stream: StreamId,
-    ) -> Result<(), CusFftError> {
-        Ok(())
-    }
-
-    fn finish(
-        &self,
-        _device: &GpuDevice,
-        prep: &PreparedState,
-        _streams: &ExecStreams,
-    ) -> Result<(Recovered, usize), CusFftError> {
-        let rec = &prep.downcast_ref::<HostRecovered>().0;
-        Ok((rec.clone(), rec.len()))
-    }
-}
-
-impl Backend for SfftCpuBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::SfftCpu
-    }
-
-    fn capabilities(&self) -> BackendCaps {
-        BackendCaps {
-            kind: BackendKind::SfftCpu,
-            exact_vs_direct: true,
-            uses_device: false,
-            batched_ffts: false,
-            oracle_bound: ORACLE_BOUND_SFFT,
-        }
-    }
-
-    fn build_plan(&self, _device: &Arc<GpuDevice>, key: PlanKey) -> Arc<dyn ExecutePlan> {
-        Arc::new(CpuPlan {
-            params: params_for(key),
-            variant: key.variant,
-        })
-    }
-
-    fn estimate_cost(&self, _model_dev: &GpuDevice, _spec: &DeviceSpec, p: &SfftParams) -> f64 {
-        p.host_work_estimate() / HOST_OP_RATE
-    }
-}
-
-// ---------------------------------------------------------------------
-// DenseFftBackend
-// ---------------------------------------------------------------------
-
-/// The brute-force oracle: a full dense FFT whose `k` largest
-/// coefficients ([`fft::Plan::forward_coefficients`], the same
-/// convention sFFT recovers in) are the ground truth the sparse
-/// recoveries are judged against.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DenseFftBackend;
-
-struct DensePlan {
-    params: Arc<SfftParams>,
-    variant: Variant,
-    fft: fft::Plan,
-}
-
-impl ExecutePlan for DensePlan {
-    fn backend(&self) -> BackendKind {
-        BackendKind::DenseFft
-    }
-
-    fn params(&self) -> &SfftParams {
-        &self.params
-    }
-
-    fn variant(&self) -> Variant {
-        self.variant
-    }
-
-    fn num_streams(&self) -> usize {
-        0
-    }
-
-    fn prepare(
-        &self,
-        device: &GpuDevice,
-        time: &[Cplx],
-        _seed: u64,
-        streams: &ExecStreams,
-    ) -> Result<PreparedState, CusFftError> {
-        if time.len() != self.params.n {
-            return Err(CusFftError::BadRequest {
-                reason: format!(
-                    "signal length {} must match params.n {}",
-                    time.len(),
-                    self.params.n
-                ),
-            });
-        }
-        device.charge_host_op("dense_fft", 0.0, streams.main);
-        let spectrum = self.fft.forward_coefficients(time);
-        // Top-k by magnitude, ties broken low-frequency-first so the
-        // selection is total-ordered and deterministic.
-        let mut order: Vec<usize> = (0..spectrum.len()).collect();
-        order.sort_unstable_by(|&a, &b| {
-            spectrum[b]
-                .abs()
-                .partial_cmp(&spectrum[a].abs())
-                .expect("finite magnitudes")
-                .then(a.cmp(&b))
-        });
-        order.truncate(self.params.k);
-        order.sort_unstable();
-        let recovered: Recovered = order.into_iter().map(|f| (f, spectrum[f])).collect();
-        Ok(PreparedState::new(HostRecovered(recovered)))
-    }
-
-    fn run_batched_ffts(
-        &self,
-        _device: &GpuDevice,
-        _group: &mut [&mut PreparedState],
-        _stream: StreamId,
-    ) -> Result<(), CusFftError> {
-        Ok(())
-    }
-
-    fn finish(
-        &self,
-        _device: &GpuDevice,
-        prep: &PreparedState,
-        _streams: &ExecStreams,
-    ) -> Result<(Recovered, usize), CusFftError> {
-        let rec = &prep.downcast_ref::<HostRecovered>().0;
-        Ok((rec.clone(), rec.len()))
-    }
-}
-
-impl Backend for DenseFftBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::DenseFft
-    }
-
-    fn capabilities(&self) -> BackendCaps {
-        BackendCaps {
-            kind: BackendKind::DenseFft,
-            exact_vs_direct: true,
-            uses_device: false,
-            batched_ffts: false,
-            oracle_bound: 0.0,
-        }
-    }
-
-    fn build_plan(&self, _device: &Arc<GpuDevice>, key: PlanKey) -> Arc<dyn ExecutePlan> {
-        Arc::new(DensePlan {
-            params: params_for(key),
-            variant: key.variant,
-            fft: fft::Plan::new(key.n),
-        })
-    }
-
-    fn estimate_cost(&self, _model_dev: &GpuDevice, _spec: &DeviceSpec, p: &SfftParams) -> f64 {
-        let n = p.n as f64;
-        n * n.log2().max(1.0) / HOST_OP_RATE
-    }
-}
-
-// ---------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------
-
-/// A [`BackendKind`]-keyed registry of backends — one `Arc<dyn
-/// Backend>` slot per kind, first registration wins (the wasi-nn
-/// shape: a fixed enum of kinds, dynamic implementations behind them).
-pub struct BackendRegistry {
-    slots: [Option<Arc<dyn Backend>>; 3],
-}
-
-impl BackendRegistry {
-    /// A registry with no backends.
-    pub fn empty() -> Self {
-        BackendRegistry {
-            slots: [None, None, None],
-        }
-    }
-
-    /// A registry with all three stock backends registered.
-    pub fn with_defaults() -> Self {
-        let mut r = Self::empty();
-        r.register(Arc::new(GpuSimBackend::default()));
-        r.register(Arc::new(SfftCpuBackend));
-        r.register(Arc::new(DenseFftBackend));
-        r
-    }
-
-    /// Registers `backend` under its own kind. Registration is
-    /// idempotent with first-wins semantics: returns `true` if the
-    /// slot was empty, `false` (leaving the existing backend in place)
-    /// if the kind was already registered.
-    pub fn register(&mut self, backend: Arc<dyn Backend>) -> bool {
-        let slot = &mut self.slots[backend.kind().slot()];
-        if slot.is_some() {
-            return false;
-        }
-        *slot = Some(backend);
-        true
-    }
-
-    /// The backend registered for `kind`, if any. Total for registered
-    /// kinds: never fails once `register` returned for that kind.
-    pub fn get(&self, kind: BackendKind) -> Option<&Arc<dyn Backend>> {
-        self.slots[kind.slot()].as_ref()
-    }
-
-    /// The kinds currently registered, in slot order.
-    pub fn kinds(&self) -> Vec<BackendKind> {
-        BackendKind::all()
-            .into_iter()
-            .filter(|k| self.get(*k).is_some())
-            .collect()
-    }
-}
-
-impl Default for BackendRegistry {
-    fn default() -> Self {
-        Self::with_defaults()
-    }
+/// The `k` largest coefficients of `spectrum` by magnitude, in
+/// frequency order. Ties break low-frequency-first so the selection is
+/// total-ordered and deterministic.
+fn top_k(spectrum: &[Cplx], k: usize) -> Recovered {
+    let mut order: Vec<usize> = (0..spectrum.len()).collect();
+    order.sort_unstable_by(|&a, &b| {
+        spectrum[b]
+            .abs()
+            .total_cmp(&spectrum[a].abs())
+            .then(a.cmp(&b))
+    });
+    order.truncate(k);
+    order.sort_unstable();
+    order.into_iter().map(|f| (f, spectrum[f])).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -783,7 +491,7 @@ pub fn worker_device(spec: &DeviceSpec, faults: Option<&FaultConfig>) -> GpuDevi
 /// clean engine: recovery depends only on `(params, time, seed)`, not
 /// on stream ids or batch mates.
 pub fn execute_direct(
-    plan: &dyn ExecutePlan,
+    plan: &ExecutePlan,
     spec: &DeviceSpec,
     time: &[Cplx],
     seed: u64,
@@ -811,10 +519,17 @@ mod tests {
 
     #[test]
     fn default_registry_holds_all_three() {
-        let r = BackendRegistry::default();
-        assert_eq!(r.kinds(), BackendKind::all().to_vec());
+        let home = home_device(&gpu_sim::DeviceSpec::tesla_k20x());
         for kind in BackendKind::all() {
-            assert_eq!(r.get(kind).unwrap().kind(), kind);
+            assert_eq!(kind.caps().kind, kind, "caps name their backend");
+            let key = PlanKey {
+                n: 1 << 10,
+                k: 4,
+                variant: Variant::Optimized,
+                qos: ServeQos::Full,
+                backend: kind,
+            };
+            assert_eq!(ExecutePlan::build(&home, key, None).backend(), kind);
         }
     }
 
@@ -823,7 +538,6 @@ mod tests {
         let n = 1 << 10;
         let k = 4;
         let s = SparseSignal::generate(n, k, MagnitudeModel::Unit, 7);
-        let r = BackendRegistry::default();
         let spec = gpu_sim::DeviceSpec::tesla_k20x();
         let home = home_device(&spec);
         let key = PlanKey {
@@ -833,8 +547,8 @@ mod tests {
             qos: ServeQos::Full,
             backend: BackendKind::DenseFft,
         };
-        let plan = r.get(BackendKind::DenseFft).unwrap().build_plan(&home, key);
-        let rec = execute_direct(&*plan, &spec, &s.time, 3).unwrap();
+        let plan = ExecutePlan::build(&home, key, None);
+        let rec = execute_direct(&plan, &spec, &s.time, 3).unwrap();
         let support: Vec<usize> = rec.iter().map(|&(f, _)| f).collect();
         let mut want: Vec<usize> = s.coords.iter().map(|&(f, _)| f).collect();
         want.sort_unstable();
@@ -851,14 +565,10 @@ mod tests {
         let model = GpuDevice::new(spec.clone());
         let small = SfftParams::tuned(1 << 10, 4);
         let large = SfftParams::tuned(1 << 14, 16);
-        for backend in [
-            Arc::new(GpuSimBackend::default()) as Arc<dyn Backend>,
-            Arc::new(SfftCpuBackend),
-            Arc::new(DenseFftBackend),
-        ] {
-            let a = backend.estimate_cost(&model, &spec, &small);
-            let b = backend.estimate_cost(&model, &spec, &large);
-            assert!(a > 0.0 && b > a, "{:?}: {a} vs {b}", backend.kind());
+        for kind in BackendKind::all() {
+            let a = kind.estimate_cost(&model, &spec, &small);
+            let b = kind.estimate_cost(&model, &spec, &large);
+            assert!(a > 0.0 && b > a, "{kind:?}: {a} vs {b}");
         }
     }
 }

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use gpu_sim::{concurrency_profile, merge_op_groups, schedule, DeviceSpec, FaultConfig, Op};
 
 use crate::audit::{finalize_audit, AuditLog, SloConfig};
-use crate::backend::{worker_device, BackendKind, ExecutePlan, SfftCpuBackend};
+use crate::backend::{worker_device, BackendKind, ExecutePlan};
 use crate::error::CusFftError;
 use crate::overload::{path_latency_summary, LatencyStats, OverloadTally};
 use crate::pipeline::ExecStreams;
@@ -41,7 +41,7 @@ pub(crate) struct Group {
     /// Global group index — the fault-scope base, so fault decisions are
     /// invariant under how groups are dealt to workers.
     pub(crate) gid: usize,
-    pub(crate) plan: Arc<dyn ExecutePlan>,
+    pub(crate) plan: Arc<ExecutePlan>,
     pub(crate) indices: Vec<usize>,
     /// Accuracy tier the group is served at (brownout re-keys pressured
     /// groups onto degraded plans).
@@ -58,7 +58,7 @@ pub(crate) struct Group {
 }
 
 impl Group {
-    fn new(gid: usize, plan: Arc<dyn ExecutePlan>, qos: ServeQos) -> Self {
+    fn new(gid: usize, plan: Arc<ExecutePlan>, qos: ServeQos) -> Self {
         Group {
             gid,
             plan,
@@ -75,7 +75,7 @@ impl Group {
     /// resolving each new group's plan with `plan_of`.
     pub(crate) fn by_key(
         members: impl IntoIterator<Item = (usize, PlanKey)>,
-        mut plan_of: impl FnMut(PlanKey) -> Arc<dyn ExecutePlan>,
+        mut plan_of: impl FnMut(PlanKey) -> Arc<ExecutePlan>,
     ) -> Vec<Group> {
         let mut groups: Vec<Group> = Vec::new();
         let mut key_to_group: HashMap<PlanKey, usize> = HashMap::new();
@@ -105,20 +105,15 @@ impl ServeEngine {
     ) -> (Vec<Group>, Vec<(usize, CusFftError)>, Option<AuditLog>) {
         let mut prefailed = Vec::new();
         let mut members = Vec::new();
-        let mut plans: HashMap<PlanKey, Arc<dyn ExecutePlan>> = HashMap::new();
+        let mut plans: HashMap<PlanKey, Arc<ExecutePlan>> = HashMap::new();
         for (idx, req) in requests.iter().enumerate() {
             if let Err(e) = validate_request(req) {
                 prefailed.push((idx, e));
                 continue;
             }
             let key = req.plan_key();
-            match self.cache.get_or_build(&self.home, &self.registry, key) {
-                Some(plan) => {
-                    plans.entry(key).or_insert(plan);
-                    members.push((idx, key));
-                }
-                None => prefailed.push((idx, unregistered(req.backend))),
-            }
+            plans.entry(key).or_insert(self.plan(key));
+            members.push((idx, key));
         }
         let groups = Group::by_key(members, |key| plans[&key].clone());
         let alog = self.config.audit.then(|| {
@@ -132,13 +127,6 @@ impl ServeEngine {
             a
         });
         (groups, prefailed, alog)
-    }
-}
-
-/// The rejection of a request naming a backend the registry lacks.
-pub(crate) fn unregistered(backend: BackendKind) -> CusFftError {
-    CusFftError::BadRequest {
-        reason: format!("backend {} is not registered", backend.label()),
     }
 }
 
@@ -165,13 +153,12 @@ pub(crate) fn reject(
     }
 }
 
-/// The CPU answer to `req`, served by the [`SfftCpuBackend`] reference
-/// under `group`'s plan parameters and QoS tier. Straight to the
-/// backend's pure computation — never the plan cache, which worker
-/// threads must not touch (its counters are part of the determinism
-/// contract).
+/// The CPU answer to `req`: the reference sFFT under `group`'s plan
+/// parameters and QoS tier. Straight to [`sfft_cpu::sfft`] — never the
+/// plan cache, which worker threads must not touch (its counters are
+/// part of the determinism contract).
 pub(crate) fn cpu_answer(group: &Group, req: &ServeRequest) -> ServeResponse {
-    let recovered = SfftCpuBackend::reference(group.plan.params(), &req.time, req.seed);
+    let recovered = sfft_cpu::sfft(group.plan.params(), &req.time, req.seed);
     ServeResponse {
         num_hits: recovered.len(),
         recovered,
@@ -668,7 +655,7 @@ impl ServeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{home_device, Backend, GpuSimBackend};
+    use crate::backend::home_device;
     use crate::pipeline::Variant;
     use signal::{MagnitudeModel, SparseSignal};
 
@@ -681,7 +668,11 @@ mod tests {
                 ServeRequest::new(s.time, 4, Variant::Optimized, 7 + i)
             })
             .collect();
-        let plan = GpuSimBackend::default().build_plan(&home_device(&spec), requests[0].plan_key());
+        let plan = Arc::new(ExecutePlan::build(
+            &home_device(&spec),
+            requests[0].plan_key(),
+            None,
+        ));
         let mut group = Group::new(3, plan, ServeQos::Full);
         group.indices = vec![0, 2];
         let payload: Box<dyn std::any::Any + Send> = Box::new("synthetic worker panic");
@@ -707,7 +698,7 @@ mod tests {
                             assert_eq!(r.path, ServePath::Cpu);
                             assert_eq!(r.backend, BackendKind::SfftCpu);
                             let reference =
-                                SfftCpuBackend::reference(group.plan.params(), &req.time, req.seed);
+                                sfft_cpu::sfft(group.plan.params(), &req.time, req.seed);
                             assert_eq!(r.recovered, reference);
                         }
                         RequestOutcome::Failed {

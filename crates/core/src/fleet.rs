@@ -16,7 +16,7 @@
 //! coordinator thread, from deterministic quantities only:
 //!
 //! * the backend's analytic cost estimate *on that member's model
-//!   device* ([`crate::backend::Backend::estimate_cost`] — a slow
+//!   device* ([`crate::backend::BackendKind::estimate_cost`] — a slow
 //!   member prices the same group higher),
 //! * the member's virtual queue depth (sum of costs already routed to
 //!   it this call),
@@ -69,7 +69,7 @@ use gpu_sim::{
 use std::sync::Arc;
 
 use crate::audit::AuditLog;
-use crate::backend::{worker_device, Backend, BackendRegistry, GpuSimBackend};
+use crate::backend::{worker_device, BackendKind};
 use crate::error::CusFftError;
 use crate::exec::{answer_on_cpu, execute, reject, Clock, DeviceScope, GroupRun, Placed, Served};
 use crate::overload::OverloadTally;
@@ -236,7 +236,7 @@ fn member_salt(m: usize) -> u64 {
 
 /// Abstract host operations per second the CPU emergency tier is
 /// modeled at, in the *simulated* clock domain the member lanes run in.
-/// The admission pricer's 1e9 ops/s (`SfftCpuBackend::estimate_cost`)
+/// The admission pricer's 1e9 ops/s (`BackendKind::estimate_cost`)
 /// prices the planned, vectorised multi-core path in host wall seconds;
 /// the emergency lane instead runs the scalar reference recovery,
 /// serialised behind a single lane on cache-cold data, so it is modeled
@@ -283,9 +283,8 @@ fn audit_transitions(
 ///
 /// Built from a [`FleetConfig`] plus the ordinary [`ServeConfig`] (whose
 /// `workers`, retry and fallback policy apply per group execution). The
-/// engine's plan cache and backend registry are shared fleet-wide; every
-/// member gets its own capacity pool, standby slabs, breaker, health
-/// score and fault domain.
+/// engine's plan cache is shared fleet-wide; every member gets its own
+/// capacity pool, standby slabs, breaker, health score and fault domain.
 pub struct DeviceFleet {
     engine: ServeEngine,
     fleet: FleetConfig,
@@ -306,20 +305,10 @@ impl std::fmt::Debug for DeviceFleet {
 }
 
 impl DeviceFleet {
-    /// Builds a fleet with all stock backends registered. Rejects
-    /// invalid configurations with [`CusFftError::BadConfig`].
+    /// Builds a fleet. Rejects invalid configurations with
+    /// [`CusFftError::BadConfig`].
     #[must_use = "the engine is returned, not installed; dropping it discards the construction"]
     pub fn new(fleet: FleetConfig, serve: ServeConfig) -> Result<Self, CusFftError> {
-        Self::with_registry(fleet, serve, BackendRegistry::with_defaults())
-    }
-
-    /// Builds a fleet with an explicit backend registry.
-    #[must_use = "the engine is returned, not installed; dropping it discards the construction"]
-    pub fn with_registry(
-        fleet: FleetConfig,
-        serve: ServeConfig,
-        registry: BackendRegistry,
-    ) -> Result<Self, CusFftError> {
         if fleet.members.is_empty() {
             return Err(CusFftError::BadConfig {
                 reason: "fleet has no members".into(),
@@ -348,7 +337,7 @@ impl DeviceFleet {
                 });
             }
         }
-        let engine = ServeEngine::with_registry(fleet.members[0].spec.clone(), serve, registry)?;
+        let engine = ServeEngine::new(fleet.members[0].spec.clone(), serve)?;
         let pools: Vec<Arc<MemPool>> = fleet
             .members
             .iter()
@@ -373,7 +362,7 @@ impl DeviceFleet {
         })
     }
 
-    /// The shared serving engine (plan cache, registry, serve config).
+    /// The shared serving engine (plan cache, serve config).
     pub fn engine(&self) -> &ServeEngine {
         &self.engine
     }
@@ -465,7 +454,7 @@ impl DeviceFleet {
                 .iter()
                 .zip(&specs)
                 .map(|(dev, spec)| {
-                    1.0 / GpuSimBackend::default()
+                    1.0 / BackendKind::GpuSim
                         .estimate_cost(dev, spec, g0.plan.params())
                         .max(1e-12)
                 })
@@ -495,14 +484,7 @@ impl DeviceFleet {
                             qos: ServeQos::Degraded,
                             ..requests[groups[gid].indices[0]].plan_key()
                         };
-                        // Invariant: the group exists, so its backend is
-                        // registered and the degraded key resolves.
-                        let plan = self
-                            .engine
-                            .cache
-                            .get_or_build(&self.engine.home, &self.engine.registry, key)
-                            .expect("grouped requests resolve to registered backends");
-                        groups[gid].plan = plan;
+                        groups[gid].plan = self.engine.plan(key);
                         groups[gid].qos = ServeQos::Degraded;
                         fleet_tally.brownout_groups += 1;
                         rekeyed = true;
@@ -534,12 +516,7 @@ impl DeviceFleet {
             let mut cpu_gids: Vec<usize> = Vec::new();
             for &gid in epoch {
                 let group = &groups[gid];
-                // Invariant: groups only exist for registered backends.
-                let backend = self
-                    .engine
-                    .registry
-                    .get(requests[group.indices[0]].backend)
-                    .expect("grouped requests resolve to registered backends");
+                let backend = group.plan.backend();
                 let est: Vec<f64> = (0..nmembers)
                     .map(|m| {
                         backend.estimate_cost(&model_devs[m], &specs[m], group.plan.params())
@@ -754,11 +731,7 @@ impl DeviceFleet {
                     self.pools[from].release_reservation(granule);
                 }
                 let group = &groups[gid];
-                let backend = self
-                    .engine
-                    .registry
-                    .get(requests[group.indices[0]].backend)
-                    .expect("grouped requests resolve to registered backends");
+                let backend = group.plan.backend();
                 // Failover target: best healthy member with a free
                 // standby slot — no pool traffic on this path.
                 let mut best: Option<(usize, f64)> = None;

@@ -25,10 +25,10 @@
 //! * [`observe`] — unified telemetry over a [`ServeReport`]: the
 //!   structured span tree, the metrics registry, and Chrome/Perfetto
 //!   trace export (built on the `cusfft-telemetry` crate);
-//! * [`backend`] — pluggable execution backends behind a wasi-nn-style
-//!   registry ([`BackendRegistry`]): the simulated-GPU pipeline, the
-//!   CPU reference sFFT, and a dense-FFT oracle, all served through
-//!   one [`Backend`]/[`ExecutePlan`] contract;
+//! * [`backend`] — the three execution backends a request can name
+//!   ([`BackendKind`]): the simulated-GPU pipeline, the CPU reference
+//!   sFFT, and a dense-FFT oracle, all served through one closed
+//!   [`ExecutePlan`] enum;
 //! * [`fleet`] — heterogeneous device fleets over the serving layer:
 //!   deterministic fault-domain routing, device-loss failover onto
 //!   pre-reserved standby slabs, drain/recovery quarantine and
@@ -94,10 +94,7 @@ pub use audit::{
     derive_cause, explain, is_root_kind, AuditLog, AuditReport, BurnWindow, DecisionChain,
     SloAlert, SloConfig, SloReport,
 };
-pub use backend::{
-    execute_direct, Backend, BackendCaps, BackendKind, BackendRegistry, DenseFftBackend,
-    ExecutePlan, GpuSimBackend, SfftCpuBackend,
-};
+pub use backend::{execute_direct, BackendCaps, BackendKind, ExecutePlan};
 pub use cufft::{batched_fft_device, batched_fft_rows, cufft_dense_baseline, cufft_model_time};
 pub use error::CusFftError;
 pub use chaos::{

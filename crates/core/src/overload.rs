@@ -11,7 +11,7 @@
 //!    [`RequestOutcome::Shed`]) before it costs any device time.
 //! 2. **Deadlines** — each admitted request's completion is predicted
 //!    against the deterministic service-time model of its backend
-//!    ([`crate::backend::Backend::estimate_cost`]); a request that
+//!    ([`crate::backend::BackendKind::estimate_cost`]); a request that
 //!    cannot meet its deadline even now is rejected as
 //!    [`RequestOutcome::DeadlineExceeded`] rather than served late.
 //! 3. **Graceful brownout** — under queue pressure
@@ -58,11 +58,10 @@ use sfft_cpu::SfftParams;
 use cusfft_telemetry::fmt_f64;
 
 use crate::audit::{AuditLog, GroupAuditEvent};
-use crate::backend::{worker_device, Backend, GpuSimBackend};
+use crate::backend::{worker_device, BackendKind};
 use crate::error::CusFftError;
 use crate::exec::{
-    answer_on_cpu, execute, reject, unregistered, Clock, DeviceScope, Group, GroupRun, Placed,
-    Served,
+    answer_on_cpu, execute, reject, Clock, DeviceScope, Group, GroupRun, Placed, Served,
 };
 use crate::plan_cache::{PlanKey, ServeQos};
 use crate::serve::{
@@ -208,13 +207,13 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 /// The admission controller's service-time estimate for an `(n, k)`
 /// full-QoS request served by the simulated GPU on `spec`'s model
-/// device (see [`crate::backend::Backend::estimate_cost`]). Benchmarks
+/// device (see [`BackendKind::estimate_cost`]). Benchmarks
 /// use this as the pacing unit when constructing offered-load traces,
 /// so "load 2.0" means arrivals twice as fast as the admission model
 /// believes the server drains.
 pub fn nominal_service(spec: &DeviceSpec, n: usize, k: usize) -> f64 {
     let dev = worker_device(spec, None);
-    GpuSimBackend::default().estimate_cost(&dev, spec, &SfftParams::tuned(n, k))
+    BackendKind::GpuSim.estimate_cost(&dev, spec, &SfftParams::tuned(n, k))
 }
 
 /// A request admitted past the queue and deadline checks.
@@ -298,18 +297,10 @@ impl ServeEngine {
             }
             prev = Some(t.arrival);
             arrivals.push(t.arrival);
-            let checked = validate_request(req).and_then(|()| {
-                self.registry
-                    .get(req.backend)
-                    .ok_or(unregistered(req.backend))
-            });
-            let backend = match checked {
-                Ok(backend) => backend,
-                Err(e) => {
-                    served.outcomes[idx] = Some(reject(&mut served.audit, t.arrival, idx, e));
-                    continue;
-                }
-            };
+            if let Err(e) = validate_request(req) {
+                served.outcomes[idx] = Some(reject(&mut served.audit, t.arrival, idx, e));
+                continue;
+            }
             let depth = admitted.iter().filter(|a| a.finish > t.arrival).count();
             overload.peak_queue_depth = overload.peak_queue_depth.max(depth as u64);
             if depth >= policy.queue_capacity {
@@ -339,11 +330,10 @@ impl ServeEngine {
                 qos,
                 ..req.plan_key()
             };
-            let plan = self
-                .cache
-                .get_or_build(&self.home, &self.registry, key)
-                .expect("registry membership was checked at admission");
-            let est = backend.estimate_cost(&model_dev, &self.spec, plan.params());
+            let plan = self.plan(key);
+            let est = req
+                .backend
+                .estimate_cost(&model_dev, &self.spec, plan.params());
             let finish = server_free.max(t.arrival) + est;
             if let Some(deadline) = t.deadline {
                 let predicted = finish - t.arrival;
@@ -410,9 +400,7 @@ impl ServeEngine {
         // is its latest member's (it cannot start before all members
         // exist).
         let mut groups = Group::by_key(admitted.iter().map(|a| (a.idx, a.key)), |key| {
-            self.cache
-                .get_or_build(&self.home, &self.registry, key)
-                .expect("admitted keys resolve to registered backends")
+            self.plan(key)
         });
         let group_arrival: Vec<f64> = groups
             .iter()
@@ -727,7 +715,7 @@ mod tests {
     fn service_estimate_scales_with_geometry() {
         let spec = DeviceSpec::tesla_k20x();
         let dev = worker_device(&spec, None);
-        let est = |p: &SfftParams| GpuSimBackend::default().estimate_cost(&dev, &spec, p);
+        let est = |p: &SfftParams| BackendKind::GpuSim.estimate_cost(&dev, &spec, p);
         let small = est(&SfftParams::tuned(1 << 10, 4));
         let large = est(&SfftParams::tuned(1 << 14, 4));
         assert!(small > 0.0);

@@ -22,7 +22,8 @@ use std::sync::Arc;
 use gpu_sim::GpuDevice;
 use parking_lot::Mutex;
 
-use crate::backend::{BackendKind, BackendRegistry, ExecutePlan};
+use crate::backend::{BackendKind, ExecutePlan};
+use crate::perm_filter::RemapKind;
 use crate::pipeline::Variant;
 
 /// Quality-of-service tier a request is served at. Under sustained
@@ -95,13 +96,13 @@ impl CacheStats {
 }
 
 struct Inner {
-    plans: HashMap<PlanKey, Arc<dyn ExecutePlan>>,
+    plans: HashMap<PlanKey, Arc<ExecutePlan>>,
     /// Keys from least- to most-recently used. Every key in `plans`
     /// appears exactly once.
     recency: VecDeque<PlanKey>,
 }
 
-/// LRU-bounded, thread-safe [`PlanKey`]` → Arc<dyn ExecutePlan>` cache.
+/// LRU-bounded, thread-safe [`PlanKey`]` → Arc<ExecutePlan>` cache.
 pub struct PlanCache {
     capacity: usize,
     inner: Mutex<Inner>,
@@ -131,22 +132,28 @@ impl PlanCache {
         self.capacity
     }
 
-    /// Returns the plan for `key`, building it with `build` on a miss.
+    /// Returns the plan for `key`, building it with [`ExecutePlan::build`]
+    /// on a miss — the key's QoS tier picks the tuning (default for
+    /// [`ServeQos::Full`], [`sfft_cpu::Tuning::degraded`] for
+    /// [`ServeQos::Degraded`]) and `remap` pins the device pipeline's
+    /// remap kernel.
     ///
-    /// On a miss `build` runs outside the lock (plan construction designs
-    /// filters — far too slow to serialise other lookups behind). If two
-    /// threads miss the same key concurrently, both build but only the
-    /// first insert wins; the loser's plan is dropped and the winner's is
-    /// returned, so all callers still share one plan per key.
-    pub fn get_or_insert_with<F>(&self, key: PlanKey, build: F) -> Arc<dyn ExecutePlan>
-    where
-        F: FnOnce() -> Arc<dyn ExecutePlan>,
-    {
+    /// On a miss the build runs outside the lock (plan construction
+    /// designs filters — far too slow to serialise other lookups behind).
+    /// If two threads miss the same key concurrently, both build but only
+    /// the first insert wins; the loser's plan is dropped and the
+    /// winner's is returned, so all callers still share one plan per key.
+    pub fn get_or_build(
+        &self,
+        device: &Arc<GpuDevice>,
+        key: PlanKey,
+        remap: Option<RemapKind>,
+    ) -> Arc<ExecutePlan> {
         if let Some(plan) = self.lookup(key) {
             return plan;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let candidate = build();
+        let candidate = Arc::new(ExecutePlan::build(device, key, remap));
         let mut inner = self.inner.lock();
         if let Some(existing) = inner.plans.get(&key).cloned() {
             // Lost the build race: count the other thread's insert as our
@@ -169,28 +176,12 @@ impl PlanCache {
     }
 
     /// Hit path: probe and touch the recency list.
-    fn lookup(&self, key: PlanKey) -> Option<Arc<dyn ExecutePlan>> {
+    fn lookup(&self, key: PlanKey) -> Option<Arc<ExecutePlan>> {
         let mut inner = self.inner.lock();
         let plan = inner.plans.get(&key).cloned()?;
         touch(&mut inner.recency, key);
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(plan)
-    }
-
-    /// Builds the plan for `key` through `registry` — the backend named
-    /// by `key.backend` applies the key's QoS tuning (default for
-    /// [`ServeQos::Full`], [`sfft_cpu::Tuning::degraded`] for
-    /// [`ServeQos::Degraded`]). Returns `None` (without touching the
-    /// counters) when `key.backend` is not registered; the serving
-    /// layer turns that into a typed rejection.
-    pub fn get_or_build(
-        &self,
-        device: &Arc<GpuDevice>,
-        registry: &BackendRegistry,
-        key: PlanKey,
-    ) -> Option<Arc<dyn ExecutePlan>> {
-        let backend = registry.get(key.backend)?;
-        Some(self.get_or_insert_with(key, || backend.build_plan(device, key)))
     }
 
     /// Counter snapshot. `hits + misses` equals total lookups.
@@ -232,21 +223,12 @@ mod tests {
         Arc::new(GpuDevice::new(DeviceSpec::tesla_k20x()))
     }
 
-    fn registry() -> BackendRegistry {
-        BackendRegistry::with_defaults()
-    }
-
     #[test]
     fn second_lookup_hits_and_shares_the_plan() {
         let cache = PlanCache::new(4);
         let dev = device();
-        let reg = registry();
-        let a = cache
-            .get_or_build(&dev, &reg, key(1 << 10, 4, Variant::Optimized))
-            .unwrap();
-        let b = cache
-            .get_or_build(&dev, &reg, key(1 << 10, 4, Variant::Optimized))
-            .unwrap();
+        let a = cache.get_or_build(&dev, key(1 << 10, 4, Variant::Optimized), None);
+        let b = cache.get_or_build(&dev, key(1 << 10, 4, Variant::Optimized), None);
         assert!(Arc::ptr_eq(&a, &b));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
@@ -256,13 +238,8 @@ mod tests {
     fn distinct_variants_get_distinct_plans() {
         let cache = PlanCache::new(4);
         let dev = device();
-        let reg = registry();
-        let a = cache
-            .get_or_build(&dev, &reg, key(1 << 10, 4, Variant::Baseline))
-            .unwrap();
-        let b = cache
-            .get_or_build(&dev, &reg, key(1 << 10, 4, Variant::Optimized))
-            .unwrap();
+        let a = cache.get_or_build(&dev, key(1 << 10, 4, Variant::Baseline), None);
+        let b = cache.get_or_build(&dev, key(1 << 10, 4, Variant::Optimized), None);
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(a.variant(), Variant::Baseline);
         assert_eq!(b.variant(), Variant::Optimized);
@@ -272,18 +249,17 @@ mod tests {
     fn lru_evicts_least_recent() {
         let cache = PlanCache::new(2);
         let dev = device();
-        let reg = registry();
         let k1 = key(1 << 9, 2, Variant::Baseline);
         let k2 = key(1 << 10, 2, Variant::Baseline);
         let k3 = key(1 << 11, 2, Variant::Baseline);
-        cache.get_or_build(&dev, &reg, k1);
-        cache.get_or_build(&dev, &reg, k2);
-        cache.get_or_build(&dev, &reg, k1); // k2 is now least recent
-        cache.get_or_build(&dev, &reg, k3); // evicts k2
+        cache.get_or_build(&dev, k1, None);
+        cache.get_or_build(&dev, k2, None);
+        cache.get_or_build(&dev, k1, None); // k2 is now least recent
+        cache.get_or_build(&dev, k3, None); // evicts k2
         let s = cache.stats();
         assert_eq!(s.len, 2);
         assert_eq!(s.evictions, 1);
-        cache.get_or_build(&dev, &reg, k2); // rebuilt: a miss
+        cache.get_or_build(&dev, k2, None); // rebuilt: a miss
         assert_eq!(cache.stats().misses, 4);
     }
 
@@ -291,11 +267,8 @@ mod tests {
     fn plans_match_their_key() {
         let cache = PlanCache::new(3);
         let dev = device();
-        let reg = registry();
         for &(n, k) in &[(1 << 9, 2), (1 << 10, 4), (1 << 11, 8)] {
-            let plan = cache
-                .get_or_build(&dev, &reg, key(n, k, Variant::Optimized))
-                .unwrap();
+            let plan = cache.get_or_build(&dev, key(n, k, Variant::Optimized), None);
             assert_eq!(plan.params().n, n);
             assert_eq!(plan.params().k, k);
         }
@@ -305,20 +278,15 @@ mod tests {
     fn qos_tiers_get_distinct_plans() {
         let cache = PlanCache::new(4);
         let dev = device();
-        let reg = registry();
-        let full = cache
-            .get_or_build(&dev, &reg, key(1 << 10, 4, Variant::Optimized))
-            .unwrap();
-        let degraded = cache
-            .get_or_build(
-                &dev,
-                &reg,
-                PlanKey {
-                    qos: ServeQos::Degraded,
-                    ..key(1 << 10, 4, Variant::Optimized)
-                },
-            )
-            .unwrap();
+        let full = cache.get_or_build(&dev, key(1 << 10, 4, Variant::Optimized), None);
+        let degraded = cache.get_or_build(
+            &dev,
+            PlanKey {
+                qos: ServeQos::Degraded,
+                ..key(1 << 10, 4, Variant::Optimized)
+            },
+            None,
+        );
         assert!(!Arc::ptr_eq(&full, &degraded));
         assert!(degraded.params().loops_total() < full.params().loops_total());
         assert_eq!(cache.stats().len, 2);
@@ -328,32 +296,19 @@ mod tests {
     fn backends_get_distinct_plans_and_unregistered_kinds_miss() {
         let cache = PlanCache::new(8);
         let dev = device();
-        let reg = registry();
-        let gpu = cache
-            .get_or_build(&dev, &reg, key(1 << 10, 4, Variant::Optimized))
-            .unwrap();
-        let cpu = cache
-            .get_or_build(
-                &dev,
-                &reg,
-                PlanKey {
-                    backend: BackendKind::SfftCpu,
-                    ..key(1 << 10, 4, Variant::Optimized)
-                },
-            )
-            .unwrap();
+        let gpu = cache.get_or_build(&dev, key(1 << 10, 4, Variant::Optimized), None);
+        let cpu = cache.get_or_build(
+            &dev,
+            PlanKey {
+                backend: BackendKind::SfftCpu,
+                ..key(1 << 10, 4, Variant::Optimized)
+            },
+            None,
+        );
         assert!(!Arc::ptr_eq(&gpu, &cpu));
         assert_eq!(gpu.backend(), BackendKind::GpuSim);
         assert_eq!(cpu.backend(), BackendKind::SfftCpu);
         assert_eq!(cache.stats().len, 2);
-
-        // An empty registry resolves nothing and leaves counters alone.
-        let empty = crate::backend::BackendRegistry::empty();
-        let before = cache.stats();
-        assert!(cache
-            .get_or_build(&dev, &empty, key(1 << 10, 4, Variant::Optimized))
-            .is_none());
-        assert_eq!(cache.stats(), before);
     }
 
     #[test]

@@ -20,11 +20,10 @@
 //!    simulated timeline exactly as concurrent streams overlap on real
 //!    hardware (paper Fig. 4).
 //!
-//! Execution itself is pluggable: every request names a
-//! [`BackendKind`], the engine resolves it through its
-//! [`BackendRegistry`] (never constructing device pipelines or CPU
-//! reference paths directly), and requests for different backends land
-//! in different plan groups. See [`crate::backend`].
+//! Every request names a [`BackendKind`] — the simulated GPU, the CPU
+//! reference sFFT or the dense-FFT oracle — which is part of its plan
+//! key, so requests for different backends land in different plan
+//! groups. See [`crate::backend`].
 //!
 //! ## Fault tolerance
 //!
@@ -43,8 +42,7 @@
 //!   op (which contends for no device resource).
 //! * **Backend re-routing** — when retries are exhausted and
 //!   [`ServeConfig::cpu_fallback`] is on, the request is re-routed to
-//!   the [`SfftCpuBackend`](crate::backend::SfftCpuBackend)
-//!   ([`ServePath::Cpu`], [`ServeResponse::backend`] =
+//!   the CPU reference sFFT ([`ServePath::Cpu`], [`ServeResponse::backend`] =
 //!   [`BackendKind::SfftCpu`]); otherwise
 //!   it fails with a typed [`CusFftError`]. Degradation is ordinary
 //!   backend selection, not a bolted-on special case.
@@ -71,10 +69,11 @@ use fft::cplx::Cplx;
 use gpu_sim::{ConcurrencyProfile, DeviceSpec, FaultConfig, GpuDevice};
 use signal::Recovered;
 
-use crate::backend::{home_device, BackendKind, BackendRegistry, PreparedState};
+use crate::backend::{home_device, BackendKind, ExecutePlan, PreparedState};
 use crate::error::CusFftError;
 use crate::exec::{cpu_answer, Group};
 use crate::overload::{LatencyStats, OverloadTally};
+use crate::perm_filter::RemapKind;
 use crate::pipeline::{ExecStreams, Variant};
 use crate::plan_cache::{CacheStats, PlanCache, PlanKey, ServeQos};
 
@@ -90,7 +89,7 @@ pub struct ServeRequest {
     /// Seed for the request's random permutations.
     pub seed: u64,
     /// Execution backend to serve this request on — a per-request QoS
-    /// policy, resolved through the engine's [`BackendRegistry`].
+    /// policy.
     pub backend: BackendKind,
 }
 
@@ -146,9 +145,8 @@ pub struct ServeConfig {
     pub faults: Option<FaultConfig>,
     /// Individual retry attempts per evicted request before degrading.
     pub max_retries: u32,
-    /// Re-route exhausted requests to the
-    /// [`SfftCpuBackend`](crate::backend::SfftCpuBackend) instead of
-    /// failing them.
+    /// Re-route exhausted requests to the CPU reference sFFT
+    /// ([`BackendKind::SfftCpu`]) instead of failing them.
     pub cpu_fallback: bool,
     /// Record the policy flight recorder ([`crate::audit`]): every
     /// serving-policy decision lands in [`ServeReport::audit`] as a
@@ -181,9 +179,9 @@ pub enum ServePath {
     Gpu,
     /// The request's own backend, after one or more individual retries.
     GpuRetry,
-    /// Fallback re-route to the
-    /// [`SfftCpuBackend`](crate::backend::SfftCpuBackend) after retries
-    /// were exhausted (or a worker was lost).
+    /// Fallback re-route to the CPU reference sFFT
+    /// ([`BackendKind::SfftCpu`]) after retries were exhausted (or a
+    /// worker was lost).
     Cpu,
 }
 
@@ -591,8 +589,7 @@ pub(crate) fn scope_retry(g: usize, j: usize, attempt: u32, hedged: bool) -> u64
         | u64::from(attempt)
 }
 
-/// The concurrent serving engine: backend registry + plan cache +
-/// sharded batch dispatch.
+/// The concurrent serving engine: plan cache + sharded batch dispatch.
 pub struct ServeEngine {
     pub(crate) spec: DeviceSpec,
     /// Device plans are built against. Plan buffers are host-backed and
@@ -600,29 +597,17 @@ pub struct ServeEngine {
     pub(crate) home: Arc<GpuDevice>,
     pub(crate) cache: PlanCache,
     pub(crate) config: ServeConfig,
-    /// Execution backends, keyed by [`BackendKind`]. All plan builds and
-    /// request pricing resolve through here.
-    pub(crate) registry: BackendRegistry,
+    /// The remap kernel every device plan is pinned to (`None`: each
+    /// plan picks its own).
+    remap: Option<RemapKind>,
 }
 
 impl ServeEngine {
-    /// Creates an engine simulating `spec` devices under `config`, with
-    /// all stock backends registered. Rejects invalid configurations
-    /// with a typed [`CusFftError::BadConfig`] instead of panicking.
+    /// Creates an engine simulating `spec` devices under `config`.
+    /// Rejects invalid configurations with a typed
+    /// [`CusFftError::BadConfig`] instead of panicking.
     #[must_use = "the engine is returned, not installed; dropping it discards the construction"]
     pub fn new(spec: DeviceSpec, config: ServeConfig) -> Result<Self, CusFftError> {
-        Self::with_registry(spec, config, BackendRegistry::with_defaults())
-    }
-
-    /// Creates an engine with an explicit backend registry — requests
-    /// naming an unregistered [`BackendKind`] fail typed at admission.
-    /// Rejects invalid configurations with [`CusFftError::BadConfig`].
-    #[must_use = "the engine is returned, not installed; dropping it discards the construction"]
-    pub fn with_registry(
-        spec: DeviceSpec,
-        config: ServeConfig,
-        registry: BackendRegistry,
-    ) -> Result<Self, CusFftError> {
         if config.workers < 1 {
             return Err(CusFftError::BadConfig {
                 reason: "serve engine needs at least 1 worker".into(),
@@ -643,8 +628,24 @@ impl ServeEngine {
             spec,
             cache: PlanCache::new(config.cache_capacity),
             config,
-            registry,
+            remap: None,
         })
+    }
+
+    /// Pins the permutation remap kernel of every device plan this
+    /// engine builds to `kind`, instead of letting each plan pick by
+    /// modeled DRAM-transaction count. The differential suite pins both
+    /// kinds bit-identical. Plans already cached keep their kernel, so
+    /// set it before serving.
+    pub fn with_remap(mut self, kind: RemapKind) -> Self {
+        self.remap = Some(kind);
+        self
+    }
+
+    /// The plan for `key`, from the cache or built on a miss. Every plan
+    /// lookup of every entry point goes through here.
+    pub(crate) fn plan(&self, key: PlanKey) -> Arc<ExecutePlan> {
+        self.cache.get_or_build(&self.home, key, self.remap)
     }
 
     /// The plan cache (counters persist across batches).
@@ -655,11 +656,6 @@ impl ServeEngine {
     /// The engine's configuration.
     pub fn config(&self) -> ServeConfig {
         self.config
-    }
-
-    /// The engine's backend registry.
-    pub fn registry(&self) -> &BackendRegistry {
-        &self.registry
     }
 
     /// Serves a batch: groups requests by plan key, shards the groups
@@ -673,8 +669,9 @@ impl ServeEngine {
     }
 }
 
-/// Rejects geometries `SfftParams::tuned` would panic on, as typed
-/// errors before any plan is built or device touched.
+/// Rejects geometries `SfftParams::tuned` would panic on, and signals
+/// with a non-finite sample, as typed errors before any plan is built
+/// or device touched.
 pub(crate) fn validate_request(req: &ServeRequest) -> Result<(), CusFftError> {
     let n = req.time.len();
     let bad = |reason: String| Err(CusFftError::BadRequest { reason });
@@ -686,6 +683,13 @@ pub(crate) fn validate_request(req: &ServeRequest) -> Result<(), CusFftError> {
     }
     if req.k == 0 || req.k > n / 8 {
         return bad(format!("sparsity k={} out of 1..={}", req.k, n / 8));
+    }
+    if let Some(t) = req
+        .time
+        .iter()
+        .position(|c| !(c.re.is_finite() && c.im.is_finite()))
+    {
+        return bad(format!("sample {t} is not finite"));
     }
     Ok(())
 }
@@ -1150,12 +1154,8 @@ mod tests {
         let spec = DeviceSpec::tesla_k20x();
         let home = home_device(&spec);
         for (req, outcome) in reqs.iter().zip(&report.outcomes) {
-            let plan = engine
-                .registry()
-                .get(req.backend)
-                .unwrap()
-                .build_plan(&home, req.plan_key());
-            let direct = crate::backend::execute_direct(&*plan, &spec, &req.time, req.seed)
+            let plan = ExecutePlan::build(&home, req.plan_key(), None);
+            let direct = crate::backend::execute_direct(&plan, &spec, &req.time, req.seed)
                 .expect("fault-free direct execution");
             let resp = outcome.response().expect("fault-free batch completes");
             assert_eq!(resp.recovered, direct);
@@ -1249,29 +1249,5 @@ mod tests {
         for (info, req) in report.group_info.iter().zip(&reqs) {
             assert_eq!(info.key.backend, req.backend);
         }
-    }
-
-    #[test]
-    fn unregistered_backend_fails_typed() {
-        let mut registry = BackendRegistry::empty();
-        registry.register(Arc::new(crate::backend::GpuSimBackend::default()));
-        let engine = ServeEngine::with_registry(
-            DeviceSpec::tesla_k20x(),
-            ServeConfig::default(),
-            registry,
-        ).unwrap();
-        let reqs = vec![
-            request(1 << 10, 4, Variant::Optimized, 1, 11),
-            request(1 << 10, 4, Variant::Optimized, 2, 12).with_backend(BackendKind::DenseFft),
-        ];
-        let report = engine.serve_batch(&reqs);
-        assert!(report.outcomes[0].response().is_some());
-        match report.outcomes[1].error() {
-            Some(CusFftError::BadRequest { reason }) => {
-                assert!(reason.contains("dense_fft"), "reason names the backend: {reason}");
-            }
-            other => panic!("expected BadRequest, got {other:?}"),
-        }
-        assert_eq!(report.faults.failed, 1);
     }
 }

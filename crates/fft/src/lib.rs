@@ -23,21 +23,15 @@ pub mod batch;
 pub mod bluestein;
 pub mod cplx;
 pub mod dft;
-pub mod fourstep;
 pub mod parallel;
 pub mod plan;
-pub mod real;
 pub mod shift;
-pub mod stockham;
 
 pub use batch::BatchPlan;
 pub use bluestein::{bluestein_fft, dft_band};
 pub use cplx::Cplx;
-pub use fourstep::FourStepPlan;
 pub use parallel::ParallelPlan;
 pub use plan::{floor_pow2, is_pow2, next_pow2, Plan, PlanError};
-pub use real::RealPlan;
-pub use stockham::StockhamPlan;
 
 /// Transform direction shared by every implementation in this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -5,7 +5,7 @@
 //! outputs the sum runs over the union of the true and recovered supports
 //! (everywhere else both sides are zero).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use fft::cplx::{Cplx, ZERO};
 
@@ -13,10 +13,12 @@ use fft::cplx::{Cplx, ZERO};
 pub type Recovered = Vec<(usize, Cplx)>;
 
 /// L1 error per large coefficient between the true sparse spectrum and a
-/// recovery, both given sparsely. `k` is the true sparsity.
+/// recovery, both given sparsely. `k` is the true sparsity. The errors
+/// are summed in ascending frequency order, so the result does not
+/// depend on a hash seed.
 pub fn l1_error_per_coeff(truth: &[(usize, Cplx)], recovered: &[(usize, Cplx)]) -> f64 {
     let k = truth.len().max(1);
-    let mut map: HashMap<usize, (Cplx, Cplx)> = HashMap::new();
+    let mut map: BTreeMap<usize, (Cplx, Cplx)> = BTreeMap::new();
     for &(f, v) in truth {
         map.entry(f).or_insert((ZERO, ZERO)).0 = v;
     }
@@ -123,6 +125,22 @@ mod tests {
         let a = l1_error_dense(&truth, &dense);
         let b = l1_error_per_coeff(&truth, &sparse_rec);
         assert!((a - b).abs() < 1e-12);
+    }
+
+    #[test]
+    fn error_sums_in_ascending_frequency_order() {
+        // Adding 1.0 to 1e16 rounds away, so the order of the terms
+        // changes the sum: only frequency order gives a fixed answer.
+        let truth: Vec<(usize, Cplx)> = std::iter::once((0, c(1e16)))
+            .chain((1..=16).map(|f| (f, c(1.0))))
+            .collect();
+        let ascending = truth.iter().fold(0.0, |acc, &(_, v)| acc + v.abs()) / 17.0;
+        for _ in 0..20 {
+            assert_eq!(
+                l1_error_per_coeff(&truth, &[]).to_bits(),
+                ascending.to_bits()
+            );
+        }
     }
 
     #[test]

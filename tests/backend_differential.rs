@@ -1,6 +1,6 @@
 //! Cross-backend differential conformance suite — DESIGN.md §12.
 //!
-//! Every registered backend pair is compared over a generated matrix of
+//! Every backend pair is compared over a generated matrix of
 //! workloads (signal sizes × sparsities × SNRs × fault seeds):
 //!
 //! 1. **Served = direct** — all three backends declare
@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use cusfft::{
-    execute_direct, BackendKind, BackendRegistry, PlanKey, ServeConfig, ServeEngine, ServePath,
+    execute_direct, BackendKind, ExecutePlan, PlanKey, ServeConfig, ServeEngine, ServePath,
     ServeQos, ServeReport, ServeRequest, Variant,
 };
 use fft::Cplx;
@@ -135,12 +135,8 @@ fn large(rec: &[(usize, Cplx)]) -> Vec<(usize, Cplx)> {
 
 #[test]
 fn default_registry_serves_all_three_backends() {
-    let registry = BackendRegistry::with_defaults();
     for kind in BackendKind::all() {
-        let backend = registry
-            .get(kind)
-            .unwrap_or_else(|| panic!("{} must be registered by default", kind.label()));
-        let caps = backend.capabilities();
+        let caps = kind.caps();
         assert_eq!(caps.kind, kind);
         assert!(
             caps.exact_vs_direct,
@@ -150,16 +146,9 @@ fn default_registry_serves_all_three_backends() {
     }
     // The oracle is exact by definition; the sFFT tiers carry the
     // documented residual bound.
-    assert_eq!(
-        registry
-            .get(BackendKind::DenseFft)
-            .unwrap()
-            .capabilities()
-            .oracle_bound,
-        0.0
-    );
+    assert_eq!(BackendKind::DenseFft.caps().oracle_bound, 0.0);
     for kind in [BackendKind::GpuSim, BackendKind::SfftCpu] {
-        assert!(registry.get(kind).unwrap().capabilities().oracle_bound > 0.0);
+        assert!(kind.caps().oracle_bound > 0.0);
     }
 }
 
@@ -169,7 +158,6 @@ fn default_registry_serves_all_three_backends() {
 fn served_spectra_are_bit_identical_to_direct_execution() {
     let cases = matrix();
     let spec = DeviceSpec::tesla_k20x();
-    let registry = BackendRegistry::with_defaults();
     let home = Arc::new(GpuDevice::new(spec.clone()));
     for kind in BackendKind::all() {
         let reqs = requests_for(&cases, kind);
@@ -180,11 +168,8 @@ fn served_spectra_are_bit_identical_to_direct_execution() {
                 .unwrap_or_else(|| panic!("{}: request {i} completes", kind.label()));
             assert_eq!(resp.backend, kind, "{}: request {i} backend", kind.label());
             assert_eq!(resp.qos, ServeQos::Full);
-            let plan = registry
-                .get(kind)
-                .unwrap()
-                .build_plan(&home, req.plan_key());
-            let direct = execute_direct(plan.as_ref(), &spec, &req.time, req.seed)
+            let plan = ExecutePlan::build(&home, req.plan_key(), None);
+            let direct = execute_direct(&plan, &spec, &req.time, req.seed)
                 .unwrap_or_else(|e| panic!("{}: direct execution of {i}: {e}", kind.label()));
             assert_eq!(
                 resp.recovered, direct,
@@ -229,15 +214,10 @@ fn per_backend_reports_are_worker_count_invariant() {
 #[test]
 fn backends_agree_within_documented_residual_bounds() {
     let cases = matrix();
-    let registry = BackendRegistry::with_defaults();
     let gpu = serve(&requests_for(&cases, BackendKind::GpuSim), 2, None);
     let cpu = serve(&requests_for(&cases, BackendKind::SfftCpu), 2, None);
     let dense = serve(&requests_for(&cases, BackendKind::DenseFft), 2, None);
-    let sfft_bound = registry
-        .get(BackendKind::GpuSim)
-        .unwrap()
-        .capabilities()
-        .oracle_bound;
+    let sfft_bound = BackendKind::GpuSim.caps().oracle_bound;
 
     for (i, case) in cases.iter().enumerate() {
         let what = format!(

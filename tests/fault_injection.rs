@@ -371,3 +371,59 @@ fn failed_attempt_counts_are_pinned_per_path() {
         .expect("unarmed journaled run completes");
     assert_eq!(journaled.outcomes, reference.outcomes);
 }
+
+/// A signal with one non-finite sample is rejected as a bad request on
+/// every backend and every entry point — before any plan runs, so no
+/// worker panics (the dense oracle's top-k sort used to panic on NaN
+/// magnitudes) and no sFFT tier answers `Done` from garbage.
+#[test]
+fn non_finite_samples_fail_typed_on_every_entry_point() {
+    use cusfft::{
+        CusFftError, DeviceFleet, FleetConfig, OverloadConfig, RequestOutcome, TimedRequest,
+    };
+
+    let n = 1 << 10;
+    let s = SparseSignal::generate(n, 4, MagnitudeModel::Unit, 5);
+    for kind in BackendKind::all() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut time = s.time.clone();
+            time[17].re = bad;
+            let reqs = vec![
+                ServeRequest::new(s.time.clone(), 4, Variant::Optimized, 3).with_backend(kind),
+                ServeRequest::new(time, 4, Variant::Optimized, 3).with_backend(kind),
+            ];
+            let engine = ServeEngine::new(DeviceSpec::tesla_k20x(), ServeConfig::default())
+                .expect("serve config is valid");
+            let trace: Vec<TimedRequest> = reqs
+                .iter()
+                .enumerate()
+                .map(|(i, r)| TimedRequest::at(r.clone(), i as f64 * 1e-3))
+                .collect();
+            let fleet = DeviceFleet::new(FleetConfig::heterogeneous(), ServeConfig::default())
+                .expect("fleet config is valid");
+            let reports = [
+                ("serve_batch", engine.serve_batch(&reqs)),
+                (
+                    "serve_overload",
+                    engine.serve_overload(&trace, &OverloadConfig::default()),
+                ),
+                ("fleet", fleet.serve(&reqs)),
+            ];
+            for (entry, report) in reports {
+                let what = format!("{} via {entry}, sample {bad}", kind.label());
+                assert!(
+                    report.outcomes[0].response().is_some(),
+                    "{what}: clean request"
+                );
+                match &report.outcomes[1] {
+                    RequestOutcome::Failed {
+                        error: CusFftError::BadRequest { .. },
+                        after_attempts: 0,
+                    } => {}
+                    other => panic!("{what}: expected a typed rejection, got {other:?}"),
+                }
+                assert_eq!(report.faults.worker_panics, 0, "{what}: no worker panics");
+            }
+        }
+    }
+}

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use cusfft::{BackendKind, BackendRegistry, PlanCache, PlanKey, ServeQos, Variant};
+use cusfft::{BackendKind, PlanCache, PlanKey, ServeQos, Variant};
 use gpu_sim::{DeviceSpec, GpuDevice};
 use proptest::prelude::*;
 
@@ -35,11 +35,10 @@ proptest! {
             (9usize..13, 0usize..3, 0usize..2, 0usize..3), 1..30),
     ) {
         let cache = PlanCache::new(capacity);
-        let registry = BackendRegistry::with_defaults();
         let device = Arc::new(GpuDevice::new(DeviceSpec::tesla_k20x()));
         for &(n_exp, k_sel, v_sel, b_sel) in &lookups {
             let k = key(n_exp, k_sel, v_sel, b_sel);
-            let plan = cache.get_or_build(&device, &registry, k).unwrap();
+            let plan = cache.get_or_build(&device, k, None);
             // The plan handed back for this key must be *for* this key —
             // an interleaved workload must never observe another
             // geometry's filters, the wrong variant, or a plan built by
@@ -63,12 +62,11 @@ proptest! {
         repeats in 2usize..6,
     ) {
         let cache = PlanCache::new(4);
-        let registry = BackendRegistry::with_defaults();
         let device = Arc::new(GpuDevice::new(DeviceSpec::tesla_k20x()));
         let k = key(n_exp, k_sel, 1, b_sel);
-        let first = cache.get_or_build(&device, &registry, k).unwrap();
+        let first = cache.get_or_build(&device, k, None);
         for _ in 1..repeats {
-            let again = cache.get_or_build(&device, &registry, k).unwrap();
+            let again = cache.get_or_build(&device, k, None);
             prop_assert!(Arc::ptr_eq(&first, &again),
                 "hits must return the cached plan, not a rebuild");
         }
@@ -82,19 +80,18 @@ fn eviction_is_strictly_lru() {
     // Deterministic companion to the property: fill a capacity-2 cache,
     // touch the older key, insert a third — the untouched key is evicted.
     let cache = PlanCache::new(2);
-    let registry = BackendRegistry::with_defaults();
     let device = Arc::new(GpuDevice::new(DeviceSpec::tesla_k20x()));
     let a = key(9, 0, 0, 0);
     let b = key(10, 0, 0, 0);
     let c = key(11, 0, 0, 0);
-    cache.get_or_build(&device, &registry, a);
-    cache.get_or_build(&device, &registry, b);
-    cache.get_or_build(&device, &registry, a); // a most recent; b is the LRU victim
-    cache.get_or_build(&device, &registry, c);
+    cache.get_or_build(&device, a, None);
+    cache.get_or_build(&device, b, None);
+    cache.get_or_build(&device, a, None); // a most recent; b is the LRU victim
+    cache.get_or_build(&device, c, None);
     assert_eq!(cache.stats().evictions, 1);
-    cache.get_or_build(&device, &registry, a); // still resident: a hit
+    cache.get_or_build(&device, a, None); // still resident: a hit
     assert_eq!(cache.stats().hits, 2);
-    cache.get_or_build(&device, &registry, b); // evicted: a rebuild
+    cache.get_or_build(&device, b, None); // evicted: a rebuild
     assert_eq!(cache.stats().misses, 4);
 }
 
@@ -107,7 +104,6 @@ fn eviction_is_strictly_lru() {
 #[test]
 fn backend_dimension_prevents_plan_aliasing() {
     let cache = PlanCache::new(8);
-    let registry = BackendRegistry::with_defaults();
     let device = Arc::new(GpuDevice::new(DeviceSpec::tesla_k20x()));
     let gpu = key(10, 1, 1, 0);
     let cpu = PlanKey {
@@ -118,8 +114,8 @@ fn backend_dimension_prevents_plan_aliasing() {
     assert_eq!(gpu.variant, cpu.variant);
     assert_ne!(gpu, cpu, "keys differing only in backend must not collide");
 
-    let gpu_plan = cache.get_or_build(&device, &registry, gpu).unwrap();
-    let cpu_plan = cache.get_or_build(&device, &registry, cpu).unwrap();
+    let gpu_plan = cache.get_or_build(&device, gpu, None);
+    let cpu_plan = cache.get_or_build(&device, cpu, None);
     assert_eq!(gpu_plan.backend(), BackendKind::GpuSim);
     assert_eq!(cpu_plan.backend(), BackendKind::SfftCpu);
     assert_eq!(cache.stats().misses, 2, "distinct backends are distinct entries");
@@ -127,7 +123,7 @@ fn backend_dimension_prevents_plan_aliasing() {
 
     // Looking either key up again returns the plan built by its own
     // backend, not the other one's.
-    let gpu_again = cache.get_or_build(&device, &registry, gpu).unwrap();
+    let gpu_again = cache.get_or_build(&device, gpu, None);
     assert!(Arc::ptr_eq(&gpu_plan, &gpu_again));
     assert_eq!(cache.stats().hits, 1);
 }

@@ -1,35 +1,27 @@
 //! Differential tests for the tiled affine-permutation remap
 //! (DESIGN.md §13): forcing [`RemapKind::Tiled`] versus
-//! [`RemapKind::Direct`] through the backend must change only the
+//! [`RemapKind::Direct`] through the engine must change only the
 //! *modeled cost* of the layout pass, never its output. Recovered
 //! spectra are pinned bit-identical across signal sizes × batch widths ×
 //! fault seeds, and the transaction model must actually prefer the tiled
 //! flavour where the paper says it wins (large padded widths).
 
-use std::sync::Arc;
-
-use cusfft::{
-    choose_remap, BackendRegistry, GpuSimBackend, RemapKind, ServeConfig, ServeEngine,
-    ServeRequest, SfftCpuBackend, Variant,
-};
+use cusfft::{choose_remap, RemapKind, ServeConfig, ServeEngine, ServeRequest, Variant};
 use gpu_sim::{DeviceSpec, FaultConfig};
 use signal::{MagnitudeModel, SparseSignal};
 
-/// An engine whose GPU backend is pinned to one remap flavour (the CPU
-/// backend rides along for fault-exhausted fallbacks).
+/// An engine whose device plans are pinned to one remap flavour.
 fn engine(kind: RemapKind, faults: Option<FaultConfig>) -> ServeEngine {
-    let mut registry = BackendRegistry::empty();
-    registry.register(Arc::new(GpuSimBackend { remap: Some(kind) }));
-    registry.register(Arc::new(SfftCpuBackend));
-    ServeEngine::with_registry(
+    ServeEngine::new(
         DeviceSpec::tesla_k20x(),
         ServeConfig {
             workers: 2,
             faults,
             ..ServeConfig::default()
         },
-        registry,
-    ).expect("serve config is valid")
+    )
+    .expect("serve config is valid")
+    .with_remap(kind)
 }
 
 fn batch(n: usize, width: usize) -> Vec<ServeRequest> {

@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use cusfft::backend::worker_device;
 use cusfft::{
-    Backend, BackendKind, ExecStreams, ExecutePlan, GpuSimBackend, PlanKey, ServeConfig,
-    ServeEngine, ServeQos, ServeRequest, Variant,
+    BackendKind, ExecStreams, ExecutePlan, PlanKey, ServeConfig, ServeEngine, ServeQos,
+    ServeRequest, Variant,
 };
 use fft::Cplx;
 use gpu_sim::{DeviceSpec, GpuDevice};
@@ -21,7 +21,7 @@ use signal::{MagnitudeModel, SparseSignal};
 /// upload, run the front half, the batched-FFT barrier, and the grouped
 /// back half.
 fn run_once(
-    plan: &Arc<dyn ExecutePlan>,
+    plan: &ExecutePlan,
     device: &GpuDevice,
     streams: &ExecStreams,
     time: &[Cplx],
@@ -51,7 +51,7 @@ fn assert_zero_alloc_steady_state(variant: Variant) {
     let k = 4;
     let spec = DeviceSpec::tesla_k20x();
     let home = Arc::new(worker_device(&spec, None));
-    let plan = GpuSimBackend::default().build_plan(
+    let plan = ExecutePlan::build(
         &home,
         PlanKey {
             n,
@@ -60,6 +60,7 @@ fn assert_zero_alloc_steady_state(variant: Variant) {
             qos: ServeQos::Full,
             backend: BackendKind::GpuSim,
         },
+        None,
     );
 
     let device = worker_device(&spec, None);

@@ -3,10 +3,7 @@
 //! other — each pair of implementations cross-checks the other.
 
 use fft::cplx::Cplx;
-use fft::{
-    bluestein_fft, BatchPlan, Direction, FourStepPlan, ParallelPlan, Plan, RealPlan,
-    StockhamPlan,
-};
+use fft::{bluestein_fft, BatchPlan, Direction, ParallelPlan, Plan};
 
 fn rand_signal(n: usize, seed: u64) -> Vec<Cplx> {
     let mut s = seed;
@@ -28,8 +25,6 @@ fn five_fft_implementations_agree() {
         let x = rand_signal(n, log2 as u64);
         let reference = Plan::new(n).transform(&x, Direction::Forward);
         let candidates: Vec<(&str, Vec<Cplx>)> = vec![
-            ("stockham", StockhamPlan::new(n).transform(&x, Direction::Forward)),
-            ("four-step", FourStepPlan::new(n).transform(&x, Direction::Forward)),
             ("bluestein", bluestein_fft(&x, Direction::Forward)),
             ("parallel", ParallelPlan::new(n).transform(&x, Direction::Forward)),
         ];
@@ -51,11 +46,7 @@ fn real_fft_agrees_with_complex_pipeline() {
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.13).sin() * (i as f64 * 0.031).cos()).collect();
     let as_complex: Vec<Cplx> = x.iter().map(|&v| Cplx::real(v)).collect();
     let full = Plan::new(n).transform(&as_complex, Direction::Forward);
-    let half = RealPlan::new(n).forward(&x);
-    for f in 0..=n / 2 {
-        assert!(half[f].dist(full[f]) < 1e-8, "bin {f}");
-    }
-    // Conjugate symmetry of the full transform (what r2c relies on).
+    // Conjugate symmetry of the transform of a real signal.
     for f in 1..n / 2 {
         assert!(full[n - f].dist(full[f].conj()) < 1e-8);
     }
